@@ -47,6 +47,7 @@ from .harness import (
 from .memory import (
     MemoryParams,
     MemoryStore,
+    _write_atomic,
     build_memory,
     load_memory,
     memory_token_count,
@@ -272,7 +273,7 @@ def cmd_build_memory(args, cfg: dict) -> int:
     params = MemoryParams(**cfg["memory"])
     memory = build_memory(transcript, backends.manager, params, _load_templates(cfg))
     out_path = Path(args.out) if args.out else Path(args.input).with_suffix(".memory.json")
-    out_path.write_bytes(save_memory(memory))
+    _write_atomic(out_path, save_memory(memory))
     t_tokens = count_tokens(transcript.full_text()).count
     m_tokens = memory_token_count(memory)
     stats = compute_token_stats(t_tokens, m_tokens)
@@ -302,7 +303,7 @@ def _resolve_memory(args, cfg, transcript, backends, templates):
     params = MemoryParams(**cfg["memory"])
     memory = build_memory(transcript, backends.manager, params, templates)
     if memory_path:
-        memory_path.write_bytes(save_memory(memory))
+        _write_atomic(memory_path, save_memory(memory))
     return memory, memory_path
 
 
@@ -366,7 +367,7 @@ def cmd_ask(args, cfg: dict) -> int:
                 templates,
             )
             if memory_path:
-                memory_path.write_bytes(save_memory(memory))
+                _write_atomic(memory_path, save_memory(memory))
             print(f"Memory version: {memory.version}")
 
     if args.interactive:

@@ -11,6 +11,7 @@ episode; it never rewrites existing content.
 from __future__ import annotations
 
 import json
+import secrets
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -551,35 +552,69 @@ def reference_note_summary(answer_id: str, evidence: str, budget: int) -> str:
 
 # --- persistence --------------------------------------------------------------------
 
+_json_str = json.encoder.encode_basestring  # what json.dumps uses with ensure_ascii=False
+_INF = float("inf")
+
+
+def _json_num(value) -> str:
+    """A number as json.dumps writes it."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Already-encoded items as an indent=2 JSON list whose items sit at
+    `indent`; an empty list stays "[]"."""
+    if not items:
+        return "[]"
+    sep = ",\n" + indent
+    return "[\n" + indent + sep.join(items) + "\n" + indent[:-2] + "]"
+
+
 def save_memory(memory: EpisodicMemory) -> bytes:
-    doc = {
-        "version": memory.version,
-        "source_digest": memory.source_digest,
-        "episodes": [
-            {
-                "id": ep.id,
-                "span": [ep.span[0], ep.span[1]],
-                "line_range": [ep.line_range[0], ep.line_range[1]],
-                "schematic_summary": ep.schematic_summary,
-                "entities": list(ep.entities),
-                "narrative_role": ep.narrative_role,
-                "causal_links": [
-                    {"target_id": l.target_id, "relation": l.relation} for l in ep.causal_links
-                ],
-                "reflections": [
-                    {
-                        "query": n.query,
-                        "answer_id": n.answer_id,
-                        "summary": n.summary,
-                        "created_version": n.created_version,
-                    }
-                    for n in ep.reflections
-                ],
-            }
-            for ep in memory.episodes
-        ],
-    }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """The memory as UTF-8 JSON, byte for byte what
+    ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` gives for the
+    documented schema; written directly because the C encoder does not
+    handle ``indent``."""
+    s, num = _json_str, _json_num
+    episodes = []
+    for ep in memory.episodes:
+        links = [
+            f'{{\n          "target_id": {num(l.target_id)},\n'
+            f'          "relation": {s(l.relation)}\n        }}'
+            for l in ep.causal_links
+        ]
+        notes = [
+            f'{{\n          "query": {s(n.query)},\n'
+            f'          "answer_id": {s(n.answer_id)},\n'
+            f'          "summary": {s(n.summary)},\n'
+            f'          "created_version": {num(n.created_version)}\n        }}'
+            for n in ep.reflections
+        ]
+        episodes.append(
+            f'{{\n      "id": {num(ep.id)},\n'
+            f'      "span": [\n        {num(ep.span[0])},\n        {num(ep.span[1])}\n      ],\n'
+            f'      "line_range": [\n        {num(ep.line_range[0])},\n'
+            f'        {num(ep.line_range[1])}\n      ],\n'
+            f'      "schematic_summary": {s(ep.schematic_summary)},\n'
+            f'      "entities": {_json_list([s(e) for e in ep.entities], "        ")},\n'
+            f'      "narrative_role": {s(ep.narrative_role)},\n'
+            f'      "causal_links": {_json_list(links, "        ")},\n'
+            f'      "reflections": {_json_list(notes, "        ")}\n    }}'
+        )
+    text = (
+        f'{{\n  "version": {num(memory.version)},\n'
+        f'  "source_digest": {s(memory.source_digest)},\n'
+        f'  "episodes": {_json_list(episodes, "    ")}\n}}\n'
+    )
+    return text.encode("utf-8")
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -672,6 +707,22 @@ def load_memory(data: bytes) -> EpisodicMemory:
         raise SchemaViolation("$", str(exc)) from None
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write `data` to a temp file with a unique name next to `path`, then
+    rename it over `path`: readers see the old or the new file, never a torn
+    one, and concurrent writers never share a temp file. On error the temp
+    file is removed and `path` is left as it was."""
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # --- store ---------------------------------------------------------------------------
 
 class MemoryStore:
@@ -699,9 +750,7 @@ class MemoryStore:
 
     def save(self, video_id: str, memory: EpisodicMemory) -> None:
         with self._lock(video_id):
-            tmp = self.path(video_id).with_suffix(".json.tmp")
-            tmp.write_bytes(save_memory(memory))
-            tmp.replace(self.path(video_id))
+            _write_atomic(self.path(video_id), save_memory(memory))
 
     def get_or_build(
         self,
@@ -720,7 +769,5 @@ class MemoryStore:
                 if cached.source_digest == transcript_digest(transcript):
                     return cached
             built = build_memory(transcript, backend, params, templates)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_bytes(save_memory(built))
-            tmp.replace(path)
+            _write_atomic(path, save_memory(built))
             return built

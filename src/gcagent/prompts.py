@@ -16,7 +16,7 @@ from .transcript import SpeechLine
 
 BLOCK_NAMES = ("memory", "transcript", "frames", "question", "evidence")
 
-_LINE = re.compile(r"^\[(\d+)\] (\d+(?:\.\d+)?)-(\d+(?:\.\d+)?): (.*)$")
+_LINE = re.compile(r"^\[(\d+)\] (\d+(?:\.\d+)?)-(\d+(?:\.\d+)?): (.*)$", re.MULTILINE)
 _EPISODE = re.compile(r"^「(.*)」$")
 _NOTE = re.compile(r"^\s+note v(\d+) \(([A-Za-z])\): (.*)$")
 _OPTION = re.compile(r"^([A-Z])\. (.*)$")
@@ -46,12 +46,15 @@ def wrap_block(name: str, inner: str) -> str:
 
 
 def extract_block(text: str, name: str) -> str | None:
-    pattern = re.compile(
-        re.escape(open_marker(name)) + r"\n(.*?)\n" + re.escape(close_marker(name)),
-        re.DOTALL,
-    )
-    m = pattern.search(text)
-    return m.group(1) if m else None
+    """Inner text of the first `name` block: from the first open marker
+    line to the nearest close marker line after it."""
+    head = open_marker(name) + "\n"
+    start = text.find(head)
+    if start < 0:
+        return None
+    start += len(head)
+    end = text.find("\n" + close_marker(name), start)
+    return None if end < 0 else text[start:end]
 
 
 # --- transcript block -----------------------------------------------------------
@@ -66,12 +69,10 @@ def transcript_block(lines: Iterable[SpeechLine]) -> str:
 
 
 def parse_transcript_block(inner: str) -> list[tuple[int, float, float, str]]:
-    rows = []
-    for raw in inner.split("\n"):
-        m = _LINE.match(raw)
-        if m:
-            rows.append((int(m.group(1)), float(m.group(2)), float(m.group(3)), m.group(4)))
-    return rows
+    return [
+        (int(idx), float(start), float(end), text)
+        for idx, start, end, text in _LINE.findall(inner)
+    ]
 
 
 # --- episode listing ------------------------------------------------------------

@@ -11,9 +11,10 @@ reading the same prompts a live model would receive:
   of first occurrence.
 - narrative: first unit is the introduction and the last the resolution;
   middles are conflict when their summary contains a conflict-lexicon token,
-  else development. Every unit k>0 precedes-links to k-1, and a unit gains a
-  refers_back link to any non-adjacent earlier unit sharing enough content
-  tokens.
+  else development. Every unit k>0 precedes-links to k-1, and unit k gains a
+  refers_back link to each earlier unit j <= k-2 whose summary shares at
+  least ``refers_back_overlap`` distinct content tokens with its own
+  (an overlap of 1 or less means any shared token), targets ascending.
 - perception: per-line score is the content-token overlap with the query
   plus options; the top_k scoring lines win, earlier lines on ties.
 - action: picks the option with the greatest content-token overlap against
@@ -121,13 +122,14 @@ class ReferenceBackend:
         )
 
     def _narrate(self, request: ChatRequest, payload: str) -> str:
-        overlap_needed = int(request.context.get("refers_back_overlap", 3))
+        levels_needed = max(int(request.context.get("refers_back_overlap", 3)), 1)
         episodes = parse_episode_lines(extract_block(payload, "memory") or "")
         n = len(episodes)
-        token_sets = [set(content_tokens(ep["summary"])) for ep in episodes]
-        # inverted index keeps the refers_back scan near-linear when shared
-        # vocabulary is sparse
-        by_token: dict[str, list[int]] = {}
+        # bit j of bits[token] is set when episode position j has that token;
+        # level[i] collects the positions sharing more than i tokens with k, so
+        # the top level holds those sharing at least levels_needed
+        bits: dict[str, int] = {}
+        fold = range(levels_needed - 1, 0, -1)
         out = []
         for k, ep in enumerate(episodes):
             if k == 0:
@@ -141,18 +143,22 @@ class ReferenceBackend:
             links = []
             if k > 0:
                 links.append({"target_id": episodes[k - 1]["id"], "relation": "precedes"})
-            shared: dict[int, int] = {}
-            for token in token_sets[k]:
-                for j in by_token.get(token, ()):
-                    if j <= k - 2:  # non-adjacent earlier units only
-                        shared[j] = shared.get(j, 0) + 1
-            links.extend(
-                {"target_id": episodes[j]["id"], "relation": "refers_back"}
-                for j in sorted(shared)
-                if shared[j] >= overlap_needed
-            )
-            for token in token_sets[k]:
-                by_token.setdefault(token, []).append(k)
+            mark = 1 << k
+            level = [0] * levels_needed
+            for token in set(content_tokens(ep["summary"])):
+                b = bits.get(token, 0)
+                bits[token] = b | mark
+                if b:
+                    for i in fold:
+                        level[i] |= level[i - 1] & b
+                    level[0] |= b
+            hit = level[-1] & ((1 << max(k - 1, 0)) - 1)  # non-adjacent: j <= k-2
+            while hit:
+                low = hit & -hit
+                links.append(
+                    {"target_id": episodes[low.bit_length() - 1]["id"], "relation": "refers_back"}
+                )
+                hit ^= low
             out.append({"id": ep["id"], "narrative_role": role, "causal_links": links})
         return json.dumps({"episodes": out})
 

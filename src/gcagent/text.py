@@ -27,7 +27,7 @@ def content_tokens(text: str) -> list[str]:
     """Lowercased, punctuation-trimmed tokens with stopwords removed."""
     out = []
     for raw in text.split():
-        tok = strip_edges(raw).lower()
+        tok = raw.strip(_EDGE_CHARS).lower()  # strip_edges, inlined: this loop is hot
         if tok and tok not in STOPWORDS:
             out.append(tok)
     return out
@@ -37,7 +37,7 @@ def raw_tokens(text: str) -> list[str]:
     """Lowercased, punctuation-trimmed tokens, stopwords kept."""
     out = []
     for raw in text.split():
-        tok = strip_edges(raw).lower()
+        tok = raw.strip(_EDGE_CHARS).lower()
         if tok:
             out.append(tok)
     return out

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcagent.errors import (
     BackendFailure,
@@ -13,12 +17,16 @@ from gcagent.errors import (
     SchemaViolation,
 )
 from gcagent.memory import (
+    LINK_RELATIONS,
+    NARRATIVE_ROLES,
     CausalLink,
     Episode,
     EpisodeDraft,
     EpisodicMemory,
     MemoryParams,
     MemoryStore,
+    ReflectionNote,
+    _write_atomic,
     abstract_schema,
     build_memory,
     link_narrative,
@@ -321,6 +329,148 @@ class TestPersistence:
             load_memory(json.dumps(doc).encode())
 
 
+def _oracle_bytes(memory: EpisodicMemory) -> bytes:
+    """The memory file as json.dumps lays it out."""
+    doc = {
+        "version": memory.version,
+        "source_digest": memory.source_digest,
+        "episodes": [
+            {
+                "id": ep.id,
+                "span": [ep.span[0], ep.span[1]],
+                "line_range": [ep.line_range[0], ep.line_range[1]],
+                "schematic_summary": ep.schematic_summary,
+                "entities": list(ep.entities),
+                "narrative_role": ep.narrative_role,
+                "causal_links": [
+                    {"target_id": l.target_id, "relation": l.relation} for l in ep.causal_links
+                ],
+                "reflections": [
+                    {
+                        "query": n.query,
+                        "answer_id": n.answer_id,
+                        "summary": n.summary,
+                        "created_version": n.created_version,
+                    }
+                    for n in ep.reflections
+                ],
+            }
+            for ep in memory.episodes
+        ],
+    }
+    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _span_key(memory: EpisodicMemory):
+    """Spans as float reprs (nan never equals itself), the rest as is."""
+    return (
+        [(repr(float(a)), repr(float(b))) for a, b in (ep.span for ep in memory.episodes)],
+        [(ep.id, ep.line_range, ep.schematic_summary, ep.entities, ep.narrative_role,
+          ep.causal_links, ep.reflections) for ep in memory.episodes],
+        memory.version,
+        memory.source_digest,
+    )
+
+
+def _assert_serializes_like_json(memory: EpisodicMemory) -> None:
+    data = save_memory(memory)
+    assert data == _oracle_bytes(memory)
+    assert _span_key(load_memory(data)) == _span_key(memory)
+
+
+ODD_TEXT = 'caf\u00e9 \u201cquoted\u201d "q" back\\slash \t tab \x00\x1f\x7f \u2028 \U0001f600'
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _episode(i, span, **fields):
+    return Episode(id=i, span=span, line_range=(i + 1, i + 1), schematic_summary=f"s{i}", **fields)
+
+
+SERIALIZER_CASES = {
+    "empty": EpisodicMemory(episodes=(), version=1, source_digest=""),
+    "odd_text": EpisodicMemory(
+        episodes=(
+            _episode(0, (0.0, 1.5), entities=(ODD_TEXT, "Ann"), narrative_role="introduction"),
+            _episode(
+                1,
+                (1.5, 2.25),
+                causal_links=(CausalLink(0, "precedes"), CausalLink(0, "refers_back")),
+                reflections=(
+                    ReflectionNote(query=ODD_TEXT, answer_id="B", summary=ODD_TEXT, created_version=2),
+                    ReflectionNote(query="", answer_id="A", summary="ok", created_version=3),
+                ),
+            ),
+        ),
+        version=3,
+        source_digest=ODD_TEXT,
+    ),
+    "int_spans": EpisodicMemory(
+        episodes=(_episode(0, (0, 7)), _episode(1, (7, 7), causal_links=(CausalLink(0, "causes"),))),
+        version=1,
+        source_digest="d",
+    ),
+    "non_finite_spans": EpisodicMemory(
+        episodes=(_episode(0, (_NAN, _NAN)), _episode(1, (-_INF, _INF)), _episode(2, (_NAN, 1e300))),
+        version=1,
+        source_digest="d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZER_CASES))
+def test_save_memory_matches_json_dumps(name):
+    _assert_serializes_like_json(SERIALIZER_CASES[name])
+
+
+_numbers = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def memories(draw):
+    version = draw(st.integers(1, 5))
+    episodes = []
+    for i in range(draw(st.integers(0, 4))):
+        start, end = sorted(draw(st.tuples(st.integers(0, 100), st.integers(0, 100))))
+        span = draw(st.sampled_from([(start, end), (start / 3, end / 3), (draw(_numbers),) * 2]))
+        if isinstance(span[0], float) and math.isnan(span[0]):
+            span = (span[0], draw(_numbers))  # nan > x is false, so any end goes
+        links = tuple(
+            CausalLink(draw(st.integers(0, i - 1)), draw(st.sampled_from(LINK_RELATIONS)))
+            for _ in range(draw(st.integers(0, 3) if i else st.just(0)))
+        )
+        notes = tuple(
+            ReflectionNote(
+                query=draw(st.text(max_size=12)),
+                answer_id=draw(st.text(max_size=2)),
+                summary="n" + draw(st.text(max_size=12)),
+                created_version=draw(st.integers(1, version)),
+            )
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        episodes.append(
+            Episode(
+                id=i,
+                span=span,
+                line_range=(i + 1, i + 1),
+                schematic_summary="s" + draw(st.text(max_size=20)),
+                entities=tuple(draw(st.lists(st.text(max_size=6), max_size=3))),
+                narrative_role=draw(st.sampled_from(NARRATIVE_ROLES)),
+                causal_links=links,
+                reflections=notes,
+            )
+        )
+    return EpisodicMemory(episodes=tuple(episodes), version=version, source_digest=draw(st.text()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(memory=memories())
+def test_save_memory_matches_json_dumps_randomized(memory):
+    _assert_serializes_like_json(memory)
+
+
 class TestMemoryStore:
     def test_build_then_cache_hit(self, tmp_path, cooking_transcript, reference):
         store = MemoryStore(tmp_path)
@@ -336,6 +486,38 @@ class TestMemoryStore:
         other = make_transcript([(0.0, 1.0, "different content entirely")])
         rebuilt = store.get_or_build("vid", other, reference)
         assert rebuilt.source_digest == transcript_digest(other)
+
+
+    def test_save_leaves_only_the_memory_file(self, tmp_path, cooking_memory):
+        store = MemoryStore(tmp_path)
+        store.save("vid", cooking_memory)
+        store.save("vid", cooking_memory)
+        assert [p.name for p in tmp_path.iterdir()] == ["vid.json"]
+        assert load_memory(store.path("vid").read_bytes()) == cooking_memory
+
+    def test_failed_save_keeps_old_file(self, tmp_path, cooking_memory, monkeypatch):
+        store = MemoryStore(tmp_path)
+        store.save("vid", cooking_memory)
+        old = store.path("vid").read_bytes()
+
+        def broken_replace(self, target):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(Path, "replace", broken_replace)
+        bumped = EpisodicMemory(cooking_memory.episodes, cooking_memory.version + 1, "other")
+        with pytest.raises(OSError, match="disk gone"):
+            store.save("vid", bumped)
+        assert store.path("vid").read_bytes() == old
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_write_atomic_failing_write_leaves_nothing_behind(tmp_path):
+    target = tmp_path / "m.json"
+    _write_atomic(target, b"old")
+    with pytest.raises(TypeError):
+        _write_atomic(target, "not bytes")
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 def test_memory_text_schematic_vs_narrative(cooking_memory):

@@ -38,6 +38,8 @@ from .harness import (
     RunConfig,
     RunReport,
     _item_transcript,
+    _staged,
+    answer,
     compute_token_stats,
     duration_bucket,
     evaluate,
@@ -47,17 +49,17 @@ from .harness import (
 from .memory import (
     MemoryParams,
     MemoryStore,
+    VideoSession,
     _write_atomic,
     build_memory,
     load_memory,
     memory_token_count,
-    reflect,
     save_memory,
 )
-from .perception import PerceptionParams, Query, perceive
-from .reasoning import EvidenceConfig, act, assemble_evidence
+from .perception import PerceptionParams, Query
+from .reasoning import EvidenceConfig
 from .reference import ReferenceBackend
-from .transcript import count_tokens, load_transcript, transcript_digest
+from .transcript import load_transcript, transcript_digest
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -65,15 +67,6 @@ EXIT_BACKEND = 2
 EXIT_USAGE = 64
 
 log = logging.getLogger("gcagent")
-
-
-def _staged(stage: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except StageError:
-        raise
-    except GcagentError as exc:
-        raise StageError(stage, exc) from exc
 
 _DEFAULTS: dict = {
     "reference": None,  # auto: true unless an endpoint is configured
@@ -266,7 +259,7 @@ def cmd_build_memory(args, cfg: dict) -> int:
     if args.dry_run:
         print(
             f"dry-run: parsed {len(transcript.lines)} lines, "
-            f"{count_tokens(transcript.full_text()).count} tokens; nothing written"
+            f"{transcript.token_count} tokens; nothing written"
         )
         return EXIT_OK
     backends = _build_backends(cfg)
@@ -274,7 +267,7 @@ def cmd_build_memory(args, cfg: dict) -> int:
     memory = build_memory(transcript, backends.manager, params, _load_templates(cfg))
     out_path = Path(args.out) if args.out else Path(args.input).with_suffix(".memory.json")
     _write_atomic(out_path, save_memory(memory))
-    t_tokens = count_tokens(transcript.full_text()).count
+    t_tokens = transcript.token_count
     m_tokens = memory_token_count(memory)
     stats = compute_token_stats(t_tokens, m_tokens)
     reduction = "n/a" if stats.reduction_pct is None else f"{stats.reduction_pct:.1f}%"
@@ -307,68 +300,27 @@ def _resolve_memory(args, cfg, transcript, backends, templates):
     return memory, memory_path
 
 
-def _answer_once(query, transcript, memory, backends, cfg, templates, args):
-    perception_params = PerceptionParams(**cfg["perception"])
-    perception = _staged(
-        "perception",
-        perceive, query, transcript, memory, backends.manager, perception_params, templates,
-    )
-    request = _staged(
-        "assemble",
-        assemble_evidence,
-        EvidenceConfig(**cfg["evidence"]),
-        query,
-        transcript,
-        memory,
-        perception,
-        perception_params.max_frames,
-        templates,
-    )
-    if args.dry_run:
-        print(render_request(request))
-        return None, perception
-    result = _staged("action", act, query, request, backends.reasoner)
-    return result, perception
-
-
 def cmd_ask(args, cfg: dict) -> int:
     transcript, _ = _transcript_from_args(args, cfg)
     backends = _build_backends(cfg, force_reference=args.dry_run)
-    templates = _load_templates(cfg)
+    config = dataclasses.replace(_run_config(cfg), reflect=not args.no_reflect)
     memory, memory_path = _staged(
-        "memory", _resolve_memory, args, cfg, transcript, backends, templates
+        "memory", _resolve_memory, args, cfg, transcript, backends, config.templates
     )
-    params = MemoryParams(**cfg["memory"])
+    session = VideoSession(transcript=transcript, memory=memory, path=memory_path)
 
     def _one(question: str, options) -> None:
-        nonlocal memory
         query = Query(text=question, options=options)
-        result, perception = _answer_once(
-            query, transcript, memory, backends, cfg, templates, args
-        )
-        if result is None:  # dry-run
+        outcome = answer(session, query, config, backends, dry_run=args.dry_run)
+        if outcome.result is None:
+            print(render_request(outcome.request))
             return
-        spans = ", ".join(f"{s.start_s:.2f}-{s.end_s:.2f}" for s in perception.spans)
-        print(f"Answer: {result.answer_id}")
-        print(f"Evidence: {result.evidence}")
+        spans = ", ".join(f"{s.start_s:.2f}-{s.end_s:.2f}" for s in outcome.perception.spans)
+        print(f"Answer: {outcome.result.answer_id}")
+        print(f"Evidence: {outcome.result.evidence}")
         print(f"Spans: {spans if spans else '(uniform fallback)'}")
-        if not args.no_reflect:
-            memory = _staged(
-                "reflection",
-                reflect,
-                query.text,
-                query.options,
-                result.answer_id,
-                result.evidence,
-                memory,
-                [(s.start_s, s.end_s) for s in perception.spans],
-                backends.manager,
-                params,
-                templates,
-            )
-            if memory_path:
-                _write_atomic(memory_path, save_memory(memory))
-            print(f"Memory version: {memory.version}")
+        if config.reflect:
+            print(f"Memory version: {session.memory.version}")
 
     if args.interactive:
         print("ask> question | A: option | B: option   (empty line or 'quit' to exit)",
@@ -440,7 +392,7 @@ def cmd_stats(args, cfg: dict) -> int:
             transcript = _item_transcript(item)
             memory = store.get_or_build(item.video_id, transcript, backends.manager, params)
             per_bucket.setdefault(duration_bucket(item.duration_s), []).append(
-                (count_tokens(transcript.full_text()).count, memory_token_count(memory))
+                (transcript.token_count, memory_token_count(memory))
             )
         rows = []
         for bucket in ("0-2min", "4-15min", "30-60min", "other"):
@@ -461,7 +413,7 @@ def cmd_stats(args, cfg: dict) -> int:
     if not args.memory:
         raise ConfigError("provide --memory FILE (or --manifest)")
     memory = load_memory(Path(args.memory).read_bytes())
-    t_tokens = count_tokens(transcript.full_text()).count
+    t_tokens = transcript.token_count
     m_tokens = memory_token_count(memory)
     stats = compute_token_stats(t_tokens, m_tokens)
     print(

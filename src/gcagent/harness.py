@@ -14,10 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backend import Backend
+from .backend import Backend, ChatRequest
 from .errors import GcagentError, ManifestError, StageError, UnparseableAnswer
-from .memory import EpisodicMemory, MemoryParams, MemoryStore, memory_token_count, reflect
+from .memory import MemoryParams, MemoryStore, VideoSession, memory_text, reflect
 from .perception import PerceptionParams, PerceptionResult, Query, perceive
+from .prompts import wrap_block
 from .reasoning import ActionResult, EvidenceConfig, act, assemble_evidence
 from .transcript import Transcript, count_tokens, load_transcript
 
@@ -180,11 +181,19 @@ def _item_source(item: BenchmarkItem) -> str | None:
     return None
 
 
-def _item_transcript(item: BenchmarkItem) -> Transcript:
+def _required_source(item: BenchmarkItem) -> str:
     source = _item_source(item)
     if source is None:
         raise ManifestError(item.question_id, "no transcript source exists for this item")
-    return load_transcript(source, video_duration_s=item.duration_s)
+    return source
+
+
+def _item_transcript(item: BenchmarkItem) -> Transcript:
+    return load_transcript(_required_source(item), video_duration_s=item.duration_s)
+
+
+def _item_session(item: BenchmarkItem, store: MemoryStore) -> VideoSession:
+    return store.session(item.video_id, _required_source(item), item.duration_s)
 
 
 # --- pipeline -------------------------------------------------------------------
@@ -235,18 +244,84 @@ class ItemRecord:
 def _staged(stage: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
+    except StageError:
+        raise
     except GcagentError as exc:
         raise StageError(stage, exc) from exc
 
 
+def _memory_block(memory) -> tuple[str, int]:
+    """The narrative `<memory>` block and the token count of its text."""
+    text = memory_text(memory)
+    return wrap_block("memory", text), count_tokens(text).count
+
+
 @dataclass
-class _PipelineOutcome:
-    result: ActionResult
+class Outcome:
     perception: PerceptionResult
-    memory: EpisodicMemory
-    transcript: Transcript
-    usage: dict
-    reasoning_memory_tokens: int
+    request: ChatRequest
+    result: ActionResult | None
+    memory_tokens: int
+
+
+def answer(
+    session: VideoSession,
+    query: Query,
+    config: RunConfig,
+    backends: BackendPair,
+    dry_run: bool = False,
+) -> Outcome:
+    """Perceive, assemble, act and, when `config.reflect` is set, reflect
+    and commit the new memory version through the session. The memory text
+    is rendered once for all stages and counted in `memory_tokens`. With
+    `dry_run` the request is assembled but neither acted on nor reflected
+    (`result` is None). Stage failures carry the stage name."""
+    transcript, memory = session.transcript, session.memory
+    block, memory_tokens = _memory_block(memory)
+    perception = _staged(
+        "perception",
+        perceive,
+        query,
+        transcript,
+        memory,
+        backends.manager,
+        config.perception_params,
+        config.templates,
+        memory_block=block,
+    )
+    request = _staged(
+        "assemble",
+        assemble_evidence,
+        config.evidence,
+        query,
+        transcript,
+        memory,
+        perception,
+        config.perception_params.max_frames,
+        config.templates,
+        memory_block=block,
+    )
+    outcome = Outcome(perception, request, None, memory_tokens)
+    if dry_run:
+        return outcome
+    outcome.result = _staged("action", act, query, request, backends.reasoner)
+    if config.reflect:
+        updated = _staged(
+            "reflection",
+            reflect,
+            query.text,
+            query.options,
+            outcome.result.answer_id,
+            outcome.result.evidence,
+            memory,
+            [(s.start_s, s.end_s) for s in perception.spans],
+            backends.manager,
+            config.memory_params,
+            config.templates,
+            memory_block=block,
+        )
+        session.commit(updated)
+    return outcome
 
 
 def _run_item(
@@ -254,69 +329,18 @@ def _run_item(
     config: RunConfig,
     backends: BackendPair,
     store: MemoryStore,
-) -> _PipelineOutcome:
-    transcript = _staged("load", _item_transcript, item)
-    memory = _staged(
+) -> tuple[VideoSession, Outcome]:
+    session = _staged("load", _item_session, item, store)
+    _staged(
         "memory",
         store.get_or_build,
         item.video_id,
-        transcript,
+        session.transcript,
         backends.manager,
         config.memory_params,
         config.templates,
     )
-    perception = _staged(
-        "perception",
-        perceive,
-        item.query,
-        transcript,
-        memory,
-        backends.manager,
-        config.perception_params,
-        config.templates,
-    )
-    request = _staged(
-        "assemble",
-        assemble_evidence,
-        config.evidence,
-        item.query,
-        transcript,
-        memory,
-        perception,
-        config.perception_params.max_frames,
-        config.templates,
-    )
-    result = _staged("action", act, item.query, request, backends.reasoner)
-    usage = {
-        "prompt_tokens": count_tokens(request.text_payload()).count,
-        "completion_tokens": count_tokens(result.raw_response).count,
-    }
-    reasoning_memory_tokens = memory_token_count(memory)
-    if config.reflect:
-        spans = [(s.start_s, s.end_s) for s in perception.spans]
-        updated = _staged(
-            "reflection",
-            reflect,
-            item.query.text,
-            item.query.options,
-            result.answer_id,
-            result.evidence,
-            memory,
-            spans,
-            backends.manager,
-            config.memory_params,
-            config.templates,
-        )
-        store.save(item.video_id, updated)
-        memory = updated
-    return _PipelineOutcome(
-        result=result,
-        perception=perception,
-        memory=memory,
-        transcript=transcript,
-        usage=usage,
-        reasoning_memory_tokens=reasoning_memory_tokens,
-    )
+    return session, answer(session, item.query, config, backends)
 
 
 def run_pipeline(
@@ -327,7 +351,7 @@ def run_pipeline(
 ) -> ActionResult:
     """Build-or-load memory, perceive, assemble, act, and (unless disabled)
     reflect. Stage failures carry the stage name."""
-    return _run_item(item, config, backends, memory_store).result
+    return _run_item(item, config, backends, memory_store)[1].result
 
 
 def _record_for_item(
@@ -347,7 +371,7 @@ def _record_for_item(
     )
     started = time.perf_counter()
     try:
-        outcome = _run_item(item, config, backends, store)
+        session, outcome = _run_item(item, config, backends, store)
     except StageError as exc:
         if isinstance(exc.cause, UnparseableAnswer):
             record.unparseable = True
@@ -356,13 +380,17 @@ def _record_for_item(
         return record
     if not backends.reasoner.profile.deterministic:
         record.latency_ms = int((time.perf_counter() - started) * 1000)
-    record.answer_id = outcome.result.answer_id
-    record.correct = outcome.result.answer_id == item.gold
-    record.evidence = outcome.result.evidence
-    record.memory_version = outcome.memory.version
-    record.transcript_tokens = count_tokens(outcome.transcript.full_text()).count
-    record.memory_tokens = outcome.reasoning_memory_tokens
-    record.token_usage = outcome.usage
+    result = outcome.result
+    record.answer_id = result.answer_id
+    record.correct = result.answer_id == item.gold
+    record.evidence = result.evidence
+    record.memory_version = session.memory.version
+    record.transcript_tokens = session.transcript.token_count
+    record.memory_tokens = outcome.memory_tokens
+    record.token_usage = {
+        "prompt_tokens": count_tokens(outcome.request.text_payload()).count,
+        "completion_tokens": count_tokens(result.raw_response).count,
+    }
     return record
 
 

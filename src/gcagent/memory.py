@@ -10,6 +10,7 @@ episode; it never rewrites existing content.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import secrets
 import threading
@@ -30,16 +31,16 @@ from .errors import (
     SchemaViolation,
 )
 from .prompts import (
-    DEFAULT_TEMPLATES,
     SYSTEM_MEMORY_MANAGER,
     format_episode_line,
     format_note_line,
     format_options,
+    lookup_template,
     transcript_block,
     wrap_block,
 )
 from .text import truncate_tokens
-from .transcript import Transcript, count_tokens, transcript_digest
+from .transcript import Transcript, count_tokens, load_transcript, transcript_digest
 
 NARRATIVE_ROLES = ("introduction", "development", "conflict", "resolution", "other")
 LINK_RELATIONS = ("precedes", "causes", "refers_back")
@@ -185,12 +186,6 @@ def _call(backend: Backend, request: ChatRequest) -> str:
         raise BackendFailure(str(exc)) from exc
 
 
-def _template(templates: Mapping[str, PromptTemplate] | None, template_id: str) -> PromptTemplate:
-    if templates and template_id in templates:
-        return templates[template_id]
-    return DEFAULT_TEMPLATES[template_id]
-
-
 def segment_events(
     transcript: Transcript,
     backend: Backend,
@@ -203,7 +198,7 @@ def segment_events(
         raise EmptyTranscript("cannot segment an empty transcript")
     n = len(transcript.lines)
     body = render_template(
-        _template(templates, "memory_segmentation"),
+        lookup_template(templates, "memory_segmentation"),
         {"transcript": transcript_block(transcript.lines)},
     )
     system = (
@@ -312,7 +307,7 @@ def abstract_schema(
         raise InvariantViolation(f"line_range {line_range} out of bounds")
     unit_lines = transcript.lines[a - 1 : b]
     body = render_template(
-        _template(templates, "memory_abstraction"),
+        lookup_template(templates, "memory_abstraction"),
         {"transcript": transcript_block(unit_lines)},
     )
     system = (
@@ -361,7 +356,7 @@ def link_narrative(
         format_episode_line(d.id, d.span[0], d.span[1], d.summary) for d in drafts
     )
     body = render_template(
-        _template(templates, "memory_narrative"),
+        lookup_template(templates, "memory_narrative"),
         {"memory": wrap_block("memory", listing)},
     )
     request = ChatRequest(
@@ -497,20 +492,25 @@ def reflect(
     backend: Backend,
     params: MemoryParams = MemoryParams(),
     templates: Mapping[str, PromptTemplate] | None = None,
+    memory_block: str | None = None,
 ) -> EpisodicMemory:
     """Append one reflection note to the episode whose span overlaps the
     perception spans most (nearest episode when nothing overlaps). Returns a
-    new memory with version + 1; everything pre-existing is untouched."""
+    new memory with version + 1; everything pre-existing is untouched.
+    `memory_block` is `wrap_block("memory", memory_text(memory))` when the
+    caller has it."""
     if not evidence.strip():
         raise InvariantViolation("reflection requires non-empty evidence")
+    if memory_block is None:
+        memory_block = wrap_block("memory", memory_text(memory))
     body = render_template(
-        _template(templates, "reflection"),
+        lookup_template(templates, "reflection"),
         {
             "query": query,
             "options": format_options(options),
             "answer": answer_id,
             "evidence": evidence,
-            "memory": wrap_block("memory", memory_text(memory)),
+            "memory": memory_block,
         },
     )
     request = ChatRequest(
@@ -725,19 +725,70 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 # --- store ---------------------------------------------------------------------------
 
+def _content_hash(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
+@dataclass(eq=False)
+class VideoSession:
+    """One video's warm state for answering questions: the parsed transcript
+    and the current memory, each with the content hash of the file bytes it
+    stands for, so that a file read again is parsed again only when its
+    bytes changed. Reflections are written through `store` (as `video_id`)
+    when set, else to `path` when set, else kept in this process only. A
+    store's session belongs to the thread that opened it."""
+
+    transcript: Transcript | None = None
+    memory: EpisodicMemory | None = None
+    path: Path | None = None
+    video_id: str = ""
+    store: MemoryStore | None = None
+    source: tuple[str, float | None] | None = None
+    source_hash: bytes = b""
+    memory_hash: bytes = b""
+
+    def commit(self, memory: EpisodicMemory) -> None:
+        """Make `memory` the current version and write it out."""
+        if self.store is not None:
+            self.store.save(self.video_id, memory)
+        elif self.path is not None:
+            _write_atomic(self.path, save_memory(memory))
+        if self.memory is not memory:  # the store records it in its thread's session only
+            self.memory, self.memory_hash = memory, b""
+
+
 class MemoryStore:
     """Directory of per-video memory files. Writes are serialized per video
-    id; readers always see a complete file (write-then-rename)."""
+    id; readers always see a complete file (write-then-rename).
+
+    Each thread keeps one `VideoSession`. Every call reads the files again,
+    which is how edits by other processes are seen, but parses a file again
+    only when its bytes hash differently from what the session last read
+    or wrote."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
+        self._local = threading.local()
 
     def _lock(self, video_id: str) -> threading.Lock:
         with self._locks_guard:
             return self._locks.setdefault(video_id, threading.Lock())
+
+    def _current(self, video_id: str) -> VideoSession | None:
+        session = getattr(self._local, "session", None)
+        return session if session is not None and session.video_id == video_id else None
+
+    def _session(self, video_id: str) -> VideoSession:
+        session = self._current(video_id)
+        if session is None:
+            self._local.session = None  # drop the other video's session first
+            session = self._local.session = VideoSession(
+                path=self.path(video_id), video_id=video_id, store=self
+            )
+        return session
 
     def path(self, video_id: str) -> Path:
         return self.root / f"{video_id}.json"
@@ -748,9 +799,34 @@ class MemoryStore:
             return None
         return load_memory(path.read_bytes())
 
+    def session(
+        self, video_id: str, source: str, video_duration_s: float | None = None
+    ) -> VideoSession:
+        """The calling thread's session for `video_id`, its transcript read
+        from `source` and parsed again only when the bytes changed. Bring
+        its memory up to date with `get_or_build` before answering."""
+        session = self._session(video_id)
+        with open(source, "rb") as fh:
+            data = fh.read()
+        digest = _content_hash(data)
+        key = (source, video_duration_s)
+        if session.transcript is None or (session.source, session.source_hash) != (key, digest):
+            session.transcript = None
+            session.transcript = load_transcript(source, video_duration_s, data=data)
+            session.source, session.source_hash = key, digest
+        return session
+
+    def _write(self, video_id: str, memory: EpisodicMemory, session: VideoSession | None) -> None:
+        if session is not None:
+            session.memory, session.memory_hash = None, b""
+        data = save_memory(memory)
+        _write_atomic(self.path(video_id), data)
+        if session is not None:
+            session.memory, session.memory_hash = memory, _content_hash(data)
+
     def save(self, video_id: str, memory: EpisodicMemory) -> None:
         with self._lock(video_id):
-            _write_atomic(self.path(video_id), save_memory(memory))
+            self._write(video_id, memory, self._current(video_id))
 
     def get_or_build(
         self,
@@ -760,14 +836,24 @@ class MemoryStore:
         params: MemoryParams = MemoryParams(),
         templates: Mapping[str, PromptTemplate] | None = None,
     ) -> EpisodicMemory:
-        """Reuse the cached memory when its digest matches the transcript;
-        otherwise build and persist a fresh one."""
+        """Reuse the memory file when its digest matches the transcript;
+        otherwise build and persist a fresh one. A missing file always
+        means a build. The result is the session's current memory."""
         with self._lock(video_id):
-            path = self.path(video_id)
-            if path.exists():
-                cached = load_memory(path.read_bytes())
-                if cached.source_digest == transcript_digest(transcript):
-                    return cached
+            session = self._session(video_id)
+            try:
+                data = self.path(video_id).read_bytes()
+            except FileNotFoundError:
+                data = None
+            if data is not None:
+                digest = _content_hash(data)
+                if session.memory is None or session.memory_hash != digest:
+                    session.memory = None
+                    session.memory = load_memory(data)
+                    session.memory_hash = digest
+                if session.memory.source_digest == transcript_digest(transcript):
+                    return session.memory
+            session.memory = None
             built = build_memory(transcript, backend, params, templates)
-            _write_atomic(path, save_memory(built))
+            self._write(video_id, built, session)
             return built

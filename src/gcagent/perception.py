@@ -29,9 +29,9 @@ from .errors import (
 )
 from .memory import EpisodicMemory, memory_text
 from .prompts import (
-    DEFAULT_TEMPLATES,
     SYSTEM_MEMORY_MANAGER,
     format_options,
+    lookup_template,
     transcript_block,
     wrap_block,
 )
@@ -216,24 +216,24 @@ def perceive(
     backend: Backend,
     params: PerceptionParams = PerceptionParams(),
     templates: Mapping[str, PromptTemplate] | None = None,
+    memory_block: str | None = None,
 ) -> PerceptionResult:
-    """Retrieve query-relevant spans plus the clip plan for them."""
+    """Retrieve query-relevant spans plus the clip plan for them.
+    `memory_block` is `wrap_block("memory", memory_text(memory))` when the
+    caller has it."""
     if memory.source_digest != transcript_digest(transcript):
         raise DigestMismatch("memory was built from a different transcript")
     if not transcript.lines:
         raise EmptyTranscript("cannot perceive over an empty transcript")
-    duration = (
-        transcript.video_duration_s
-        if transcript.video_duration_s is not None
-        else transcript.end_s
-    )
-    template = (templates or {}).get("perception") or DEFAULT_TEMPLATES["perception"]
+    duration = transcript.duration_s
+    if memory_block is None:
+        memory_block = wrap_block("memory", memory_text(memory))
     body = render_template(
-        template,
+        lookup_template(templates, "perception"),
         {
             "query": " ".join(query.text.split()),
             "options": format_options(query.options),
-            "memory": wrap_block("memory", memory_text(memory)),
+            "memory": memory_block,
             "transcript": transcript_block(transcript.lines),
         },
     )

@@ -9,12 +9,10 @@ requests a live model would receive.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backend import PromptTemplate
 from .transcript import SpeechLine
-
-BLOCK_NAMES = ("memory", "transcript", "frames", "question", "evidence")
 
 _LINE = re.compile(r"^\[(\d+)\] (\d+(?:\.\d+)?)-(\d+(?:\.\d+)?): (.*)$", re.MULTILINE)
 _EPISODE = re.compile(r"^「(.*)」$")
@@ -238,3 +236,10 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
         ),
     ),
 }
+
+
+def lookup_template(
+    templates: Mapping[str, PromptTemplate] | None, template_id: str
+) -> PromptTemplate:
+    """The caller's template for `template_id`, else the default one."""
+    return (templates or {}).get(template_id) or DEFAULT_TEMPLATES[template_id]

@@ -35,10 +35,10 @@ from .errors import (
 from .memory import EpisodicMemory, memory_text
 from .perception import DEFAULT_MAX_FRAMES, PerceptionResult, uniform_clip
 from .prompts import (
-    DEFAULT_TEMPLATES,
     SYSTEM_REASONER,
     close_marker,
     format_options,
+    lookup_template,
     open_marker,
     transcript_block,
     wrap_block,
@@ -128,35 +128,28 @@ def assemble_evidence(
     perception: PerceptionResult | None = None,
     max_frames: int = DEFAULT_MAX_FRAMES,
     templates: Mapping[str, PromptTemplate] | None = None,
+    memory_block: str | None = None,
 ) -> ChatRequest:
     """Build the reasoning request. Block order is fixed: memory, then
-    transcript, then frames, then the question."""
+    transcript, then frames, then the question. `memory_block` is
+    `wrap_block("memory", memory_text(memory))` when the caller has it."""
     if config.needs_perception() and perception is None:
         raise MissingPerception(f"config {config.to_dict()} requires perception output")
     parts: list = []
     if config.memory != "none":
-        parts.append(
-            TextPart(
-                wrap_block(
-                    "memory",
-                    memory_text(
-                        memory,
-                        include_narrative=config.memory == "schematic_plus_narrative",
-                    ),
-                )
-            )
-        )
+        narrative = config.memory == "schematic_plus_narrative"
+        if narrative and memory_block is not None:
+            block = memory_block
+        else:
+            block = wrap_block("memory", memory_text(memory, include_narrative=narrative))
+        parts.append(TextPart(block))
     if config.text == "full_transcript":
         parts.append(TextPart(transcript_block(transcript.lines)))
     elif config.text == "qr_transcript":
         parts.append(TextPart(transcript_block(perception.selected_lines)))
     if config.vision != "none":
         if config.vision == "uniform":
-            duration = (
-                transcript.video_duration_s
-                if transcript.video_duration_s is not None
-                else transcript.end_s
-            )
+            duration = transcript.duration_s
             if duration <= 0:
                 raise MissingDuration("uniform sampling needs a positive video duration")
             clip = uniform_clip(duration, max_frames)
@@ -172,11 +165,10 @@ def assemble_evidence(
             for ts in clip.frame_timestamps_s
         )
         parts.append(TextPart(close_marker("frames")))
-    template = (templates or {}).get("action") or DEFAULT_TEMPLATES["action"]
     parts.append(
         TextPart(
             render_template(
-                template,
+                lookup_template(templates, "action"),
                 {
                     "query": " ".join(query.text.split()),
                     "options": format_options(query.options),

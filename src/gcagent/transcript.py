@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -103,8 +104,28 @@ class Transcript:
     def end_s(self) -> float:
         return max((line.end_s for line in self.lines), default=0.0)
 
+    @property
+    def duration_s(self) -> float:
+        """The video duration when known, else the end of the last line."""
+        return self.end_s if self.video_duration_s is None else self.video_duration_s
+
     def full_text(self) -> str:
         return " ".join(line.text for line in self.lines)
+
+    @cached_property
+    def token_count(self) -> int:
+        """`count_tokens(self.full_text())`, counted once per instance."""
+        return count_tokens(self.full_text()).count
+
+    @cached_property
+    def digest(self) -> str:
+        """Content hash tying derived artifacts (memory files) to this
+        transcript's lines; computed once per instance."""
+        h = hashlib.sha256()
+        h.update(self.source_kind.encode())
+        for line in self.lines:
+            h.update(f"\n{line.index}\t{line.start_s:.3f}\t{line.end_s:.3f}\t{line.text}".encode())
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -124,11 +145,7 @@ def count_tokens(text: str) -> TokenCount:
 
 def transcript_digest(transcript: Transcript) -> str:
     """Content hash tying derived artifacts (memory files) to their source."""
-    h = hashlib.sha256()
-    h.update(transcript.source_kind.encode())
-    for line in transcript.lines:
-        h.update(f"\n{line.index}\t{line.start_s:.3f}\t{line.end_s:.3f}\t{line.text}".encode())
-    return h.hexdigest()
+    return transcript.digest
 
 
 # --- decoding helpers ---------------------------------------------------------
@@ -308,10 +325,14 @@ def serialize_caption_doc(transcript: Transcript) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def load_transcript(path: str, video_duration_s: float | None = None) -> Transcript:
-    """Dispatch on file extension: .srt, .vtt, or caption JSONL."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def load_transcript(
+    path: str, video_duration_s: float | None = None, data: bytes | None = None
+) -> Transcript:
+    """Dispatch on file extension: .srt, .vtt, or caption JSONL. `data` is
+    the file's content when the caller has read it already."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     lower = path.lower()
     if lower.endswith(".srt"):
         parsed = parse_srt(data)

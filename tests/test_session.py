@@ -1,0 +1,178 @@
+"""The warm per-video session: files are re-read on every question, parsed
+again only when their bytes change, and never served stale."""
+
+from __future__ import annotations
+
+import dataclasses
+import shutil
+import sys
+
+import pytest
+
+import gcagent.memory
+from gcagent.harness import BackendPair, RunConfig, evaluate, load_manifest, run_pipeline
+from gcagent.memory import MemoryStore, load_memory, save_memory
+from gcagent.reference import ReferenceBackend
+from gcagent.transcript import load_transcript
+
+from conftest import FIXTURES
+
+MANIFEST = FIXTURES / "manifest.jsonl"
+# `gcagent eval` on the fixture manifest with the reference backends and
+# reflection on; regenerate only for a change that explains the diff
+GOLDEN_REPORT = FIXTURES / "golden_report.json"
+
+pytestmark = pytest.mark.filterwarnings(
+    "ignore::gcagent.errors.NoRelevantContentWarning"
+)
+
+
+@pytest.fixture
+def backends():
+    return BackendPair(manager=ReferenceBackend(), reasoner=ReferenceBackend())
+
+
+@pytest.fixture
+def vid01(tmp_path):
+    """The two vid01 manifest items, pointed at a private copy of the SRT."""
+    srt = tmp_path / "vid01.srt"
+    shutil.copy(FIXTURES / "videos" / "vid01.srt", srt)
+    items = [i for i in load_manifest(MANIFEST) if i.video_id == "vid01"]
+    return srt, [dataclasses.replace(i, subtitle_path=str(srt)) for i in items]
+
+
+def _notes(memory) -> list[tuple[int, str]]:
+    return sorted(
+        (note.created_version, note.summary)
+        for ep in memory.episodes
+        for note in ep.reflections
+    )
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap `module.name` in every gcagent module that holds it; the
+    returned list gets one entry per call."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "gcagent" or mod_name.startswith("gcagent."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+class TestInvalidation:
+    def test_memory_rewritten_behind_the_store(self, tmp_path, vid01, backends):
+        _, items = vid01
+        store = MemoryStore(tmp_path / "mem")
+        path = store.path("vid01")
+        run_pipeline(items[0], RunConfig(), backends, store)
+        current = load_memory(path.read_bytes())
+        assert current.version == 2
+        (version, summary), = _notes(current)
+
+        # same size: one note summary changed in place, length kept
+        edited = summary[:-1] + ("x" if summary[-1] != "x" else "y")
+        episodes = tuple(
+            dataclasses.replace(
+                ep,
+                reflections=tuple(dataclasses.replace(n, summary=edited) for n in ep.reflections),
+            )
+            for ep in current.episodes
+        )
+        same_size = save_memory(dataclasses.replace(current, episodes=episodes))
+        assert len(same_size) == len(path.read_bytes())
+        path.write_bytes(same_size)
+        run_pipeline(items[1], RunConfig(), backends, store)
+        after = load_memory(path.read_bytes())
+        assert after.version == 3
+        assert (version, edited) in _notes(after)
+        assert (version, summary) not in _notes(after)
+
+        # different size: the file goes back to the version-1 memory
+        base = dataclasses.replace(
+            current,
+            version=1,
+            episodes=tuple(dataclasses.replace(ep, reflections=()) for ep in current.episodes),
+        )
+        path.write_bytes(save_memory(base))
+        run_pipeline(items[1], RunConfig(), backends, store)
+        after = load_memory(path.read_bytes())
+        assert after.version == 2
+        assert [v for v, _ in _notes(after)] == [2]
+
+    def test_deleted_memory_is_built_again(self, tmp_path, vid01, backends, monkeypatch):
+        _, items = vid01
+        store = MemoryStore(tmp_path / "mem")
+        builds = _count_calls(monkeypatch, gcagent.memory, "build_memory")
+        run_pipeline(items[0], RunConfig(), backends, store)
+        run_pipeline(items[1], RunConfig(), backends, store)
+        assert len(builds) == 1
+        store.path("vid01").unlink()
+        run_pipeline(items[1], RunConfig(), backends, store)
+        assert len(builds) == 2
+        assert load_memory(store.path("vid01").read_bytes()).version == 2
+
+    def test_edited_transcript_is_parsed_again_and_memory_rebuilt(
+        self, tmp_path, vid01, backends, monkeypatch
+    ):
+        srt, items = vid01
+        store = MemoryStore(tmp_path / "mem")
+        parses = _count_calls(monkeypatch, gcagent.memory, "load_transcript")
+        run_pipeline(items[0], RunConfig(), backends, store)
+        run_pipeline(items[1], RunConfig(), backends, store)
+        assert len(parses) == 1
+        old_digest = load_memory(store.path("vid01").read_bytes()).source_digest
+
+        data = srt.read_bytes()
+        assert b"Bob" in data
+        srt.write_bytes(data.replace(b"Bob", b"Rob"))
+        run_pipeline(items[1], RunConfig(), backends, store)
+        assert len(parses) == 2
+        rebuilt = load_memory(store.path("vid01").read_bytes())
+        expected = load_transcript(str(srt), video_duration_s=items[1].duration_s)
+        assert rebuilt.source_digest == expected.digest != old_digest
+        assert rebuilt.version == 2
+
+    def test_second_store_appends_and_first_continues(self, tmp_path, vid01, backends):
+        _, items = vid01
+        first = MemoryStore(tmp_path / "mem")
+        second = MemoryStore(tmp_path / "mem")
+        run_pipeline(items[0], RunConfig(), backends, first)
+        run_pipeline(items[1], RunConfig(), backends, second)
+        run_pipeline(items[0], RunConfig(), backends, first)
+        final = load_memory(first.path("vid01").read_bytes())
+        assert final.version == 4
+        assert [v for v, _ in _notes(final)] == [2, 3, 4]
+
+    def test_parallel_evaluate_matches_serial_and_golden(self, tmp_path, backends):
+        serial = evaluate(MANIFEST, RunConfig(workers=1), backends, tmp_path / "m1")
+        parallel = evaluate(MANIFEST, RunConfig(workers=4), backends, tmp_path / "m2")
+        golden = GOLDEN_REPORT.read_bytes()
+        assert serial.to_json_bytes() == golden
+        assert parallel.to_json_bytes() == golden
+
+
+def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, monkeypatch):
+    _, items = vid01
+    store = MemoryStore(tmp_path / "mem")
+    parses = _count_calls(monkeypatch, gcagent.memory, "load_transcript")
+    loads = _count_calls(monkeypatch, gcagent.memory, "load_memory")
+    renders = _count_calls(monkeypatch, gcagent.memory, "memory_text")
+    questions = [
+        dataclasses.replace(items[k % 2], question_id=f"q{k}") for k in range(10)
+    ]
+    for k, item in enumerate(questions, start=1):
+        run_pipeline(item, RunConfig(), backends, store)
+        assert len(renders) == k
+    assert len(parses) == 1
+    assert len(loads) == 0
+    final = load_memory(store.path("vid01").read_bytes())
+    assert final.version == 11
+    assert [v for v, _ in _notes(final)] == list(range(2, 12))

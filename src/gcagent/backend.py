@@ -16,6 +16,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Mapping, Protocol, Union
 
@@ -141,14 +142,20 @@ class PromptTemplate:
 def render_template(template: PromptTemplate, bindings: Mapping[str, str]) -> str:
     """Exact single-pass substitution. Binding content is inserted verbatim
     and never re-scanned, so values containing brace patterns stay intact."""
-
-    def _sub(m: re.Match) -> str:
-        name = m.group(1)
+    out = list(_template_pieces(template.body))
+    for i in range(1, len(out), 2):
+        name = out[i]
         if name not in bindings:
             raise UnboundPlaceholder(name)
-        return bindings[name]
+        out[i] = bindings[name]
+    return "".join(out)
 
-    return _PLACEHOLDER.sub(_sub, template.body)
+
+@lru_cache(maxsize=64)
+def _template_pieces(body: str) -> tuple[str, ...]:
+    """`body` split at its placeholders: literal text at even positions,
+    placeholder names at odd ones."""
+    return tuple(_PLACEHOLDER.split(body))
 
 
 def load_template_file(template_id: str, path: str | Path) -> PromptTemplate:

@@ -35,8 +35,9 @@ from .prompts import (
     format_episode_line,
     format_note_line,
     format_options,
+    format_speech_line,
     lookup_template,
-    transcript_block,
+    rendered_transcript_block,
     wrap_block,
 )
 from .text import truncate_tokens
@@ -191,15 +192,19 @@ def segment_events(
     backend: Backend,
     params: MemoryParams = MemoryParams(),
     templates: Mapping[str, PromptTemplate] | None = None,
+    rendered: Sequence[str] | None = None,
 ) -> list[tuple[int, int]]:
     """Ask the backend for event-level units, then repair the proposal into a
-    contiguous, non-overlapping cover of all lines."""
+    contiguous, non-overlapping cover of all lines. `rendered` is the
+    transcript's lines through `format_speech_line` when the caller has them."""
     if not transcript.lines:
         raise EmptyTranscript("cannot segment an empty transcript")
     n = len(transcript.lines)
+    if rendered is None:
+        rendered = [format_speech_line(line) for line in transcript.lines]
     body = render_template(
         lookup_template(templates, "memory_segmentation"),
-        {"transcript": transcript_block(transcript.lines)},
+        {"transcript": rendered_transcript_block(rendered)},
     )
     system = (
         SYSTEM_MEMORY_MANAGER
@@ -254,7 +259,11 @@ def _repair_units(proposal: list, n: int) -> tuple[list[tuple[int, int]], bool]:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             repaired = True
             continue
-        a, b = _as_index(entry[0]), _as_index(entry[1])
+        a, b = entry
+        if type(a) is int and type(b) is int and 1 <= a <= b <= n:
+            cleaned.append((a, b))  # the common, well-formed case
+            continue
+        a, b = _as_index(a), _as_index(b)
         if a is None or b is None:
             repaired = True
             continue
@@ -301,14 +310,19 @@ def abstract_schema(
     params: MemoryParams = MemoryParams(),
     ordinal: int = 1,
     templates: Mapping[str, PromptTemplate] | None = None,
+    rendered: Sequence[str] | None = None,
 ) -> tuple[str, tuple[str, ...]]:
+    """Summary and entities of one unit. `rendered` is as for `segment_events`."""
     a, b = line_range
     if a < 1 or b > len(transcript.lines) or a > b:
         raise InvariantViolation(f"line_range {line_range} out of bounds")
-    unit_lines = transcript.lines[a - 1 : b]
+    if rendered is None:
+        unit = [format_speech_line(line) for line in transcript.lines[a - 1 : b]]
+    else:
+        unit = rendered[a - 1 : b]
     body = render_template(
         lookup_template(templates, "memory_abstraction"),
-        {"transcript": transcript_block(unit_lines)},
+        {"transcript": rendered_transcript_block(unit)},
     )
     system = (
         SYSTEM_MEMORY_MANAGER
@@ -424,14 +438,15 @@ def build_memory(
     """Full construction pass: segment, abstract each unit, link narrative."""
     if not transcript.lines:
         raise EmptyTranscript("cannot build memory from an empty transcript")
-    units = segment_events(transcript, backend, params, templates)
+    rendered = [format_speech_line(line) for line in transcript.lines]
+    units = segment_events(transcript, backend, params, templates, rendered)
     drafts: list[EpisodeDraft] = []
     for k, (a, b) in enumerate(units):
         summary, entities = abstract_schema(
-            transcript, (a, b), backend, params, ordinal=k + 1, templates=templates
+            transcript, (a, b), backend, params, k + 1, templates, rendered
         )
         unit_lines = transcript.lines[a - 1 : b]
-        span = (unit_lines[0].start_s, max(l.end_s for l in unit_lines))
+        span = (unit_lines[0].start_s, max([line.end_s for line in unit_lines]))
         drafts.append(
             EpisodeDraft(id=k, span=span, line_range=(a, b), summary=summary, entities=entities)
         )

@@ -15,7 +15,7 @@ from .backend import PromptTemplate
 from .transcript import SpeechLine
 
 _LINE = re.compile(r"^\[(\d+)\] (\d+(?:\.\d+)?)-(\d+(?:\.\d+)?): (.*)$", re.MULTILINE)
-_EPISODE = re.compile(r"^「(.*)」$")
+_LINE_TEXT = re.compile(r"^\[\d+\] \d+(?:\.\d+)?-\d+(?:\.\d+)?: (.*)$", re.MULTILINE)
 _NOTE = re.compile(r"^\s+note v(\d+) \(([A-Za-z])\): (.*)$")
 _OPTION = re.compile(r"^([A-Z])\. (.*)$")
 
@@ -62,7 +62,12 @@ def format_speech_line(line: SpeechLine) -> str:
 
 
 def transcript_block(lines: Iterable[SpeechLine]) -> str:
-    body = "\n".join(format_speech_line(line) for line in lines)
+    return rendered_transcript_block([format_speech_line(line) for line in lines])
+
+
+def rendered_transcript_block(rendered: Sequence[str]) -> str:
+    """`transcript_block` of lines already passed through `format_speech_line`."""
+    body = "\n".join(rendered)
     return wrap_block("transcript", body if body else "(empty)")
 
 
@@ -71,6 +76,11 @@ def parse_transcript_block(inner: str) -> list[tuple[int, float, float, str]]:
         (int(idx), float(start), float(end), text)
         for idx, start, end, text in _LINE.findall(inner)
     ]
+
+
+def parse_transcript_texts(inner: str) -> list[str]:
+    """The text column of `parse_transcript_block`."""
+    return _LINE_TEXT.findall(inner)
 
 
 # --- episode listing ------------------------------------------------------------
@@ -107,10 +117,12 @@ def parse_episode_lines(inner: str) -> list[dict]:
     id, start_s, end_s, summary, and (for the narrative form) role/links."""
     episodes = []
     for raw in inner.split("\n"):
-        m = _EPISODE.match(raw.strip() if raw.startswith("「") else raw)
-        if not m:
+        if not raw.startswith("「"):
             continue
-        fields = [f.strip() for f in m.group(1).split(" | ")]
+        raw = raw.strip()
+        if not raw.endswith("」"):
+            continue
+        fields = list(map(str.strip, raw[1:-1].split(" | ")))
         if len(fields) == 5:
             eid, span, role, summary, links_raw = fields
         elif len(fields) == 3:
@@ -119,11 +131,11 @@ def parse_episode_lines(inner: str) -> list[dict]:
         else:
             continue
         try:
-            start_s, end_s = (float(v) for v in span.split("-", 1))
+            start_s, _, end_s = span.partition("-")
             entry: dict = {
                 "id": int(eid),
-                "start_s": start_s,
-                "end_s": end_s,
+                "start_s": float(start_s),
+                "end_s": float(end_s),
                 "summary": summary,
                 "role": role,
             }

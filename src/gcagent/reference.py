@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Mapping, Sequence
 
 from .backend import BackendProfile, ChatRequest, ChatResponse
@@ -40,8 +41,13 @@ from .prompts import (
     parse_episode_lines,
     parse_question_block,
     parse_transcript_block,
+    parse_transcript_texts,
 )
 from .text import capitalized_entities, content_tokens, raw_tokens, truncate_tokens
+
+
+_json_str = json.encoder.encode_basestring  # a string as json.dumps(ensure_ascii=False) writes it
+_CONFLICT_SCREEN = re.compile("|".join(map(re.escape, sorted(CONFLICT_LEXICON))))
 
 
 def pick_best_option(scores: Mapping[str, float]) -> str:
@@ -50,8 +56,7 @@ def pick_best_option(scores: Mapping[str, float]) -> str:
 
 
 def _has_conflict_token(summary: str) -> bool:
-    low = summary.lower()
-    if not any(word in low for word in CONFLICT_LEXICON):
+    if not _CONFLICT_SCREEN.search(summary.lower()):
         return False  # cheap substring screen before exact token matching
     return bool(CONFLICT_LEXICON & set(raw_tokens(summary)))
 
@@ -68,22 +73,13 @@ class ReferenceBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         if request.has_images() and not self.profile.multimodal:
             raise CapabilityMismatch("text-only reference backend received image parts")
-        stage = request.context.get("stage")
         payload = request.text_payload()
-        handlers = {
-            "memory_segmentation": self._segment,
-            "memory_abstraction": self._abstract,
-            "memory_narrative": self._narrate,
-            "perception": self._perceive,
-            "action": self._act,
-            "reflection": self._reflect,
-        }
-        handler = handlers.get(stage)
+        handler = self._HANDLERS.get(request.context.get("stage"))
         if handler is None:
             digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
             text = f"reference:{digest}"
         else:
-            text = handler(request, payload)
+            text = handler(self, request, payload)
         return ChatResponse(
             text=text,
             prompt_tokens=len(payload.split()),
@@ -113,24 +109,22 @@ class ReferenceBackend:
     def _abstract(self, request: ChatRequest, payload: str) -> str:
         ordinal = int(request.context.get("ordinal", 1))
         budget = int(request.context.get("summary_budget", 30))
-        rows = parse_transcript_block(extract_block(payload, "transcript") or "")
-        unit_text = " ".join(text for _, _, _, text in rows)
+        unit_text = " ".join(parse_transcript_texts(extract_block(payload, "transcript") or ""))
         summary = f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip()
-        return json.dumps(
-            {"summary": summary, "entities": capitalized_entities(unit_text)},
-            ensure_ascii=False,
-        )
+        entities = ", ".join(map(_json_str, capitalized_entities(unit_text)))
+        return f'{{"summary": {_json_str(summary)}, "entities": [{entities}]}}'
 
     def _narrate(self, request: ChatRequest, payload: str) -> str:
         levels_needed = max(int(request.context.get("refers_back_overlap", 3)), 1)
         episodes = parse_episode_lines(extract_block(payload, "memory") or "")
+        ids = [ep["id"] for ep in episodes]
         n = len(episodes)
         # bit j of bits[token] is set when episode position j has that token;
         # level[i] collects the positions sharing more than i tokens with k, so
         # the top level holds those sharing at least levels_needed
         bits: dict[str, int] = {}
         fold = range(levels_needed - 1, 0, -1)
-        out = []
+        out = []  # written as json.dumps writes {"episodes": [...]}
         for k, ep in enumerate(episodes):
             if k == 0:
                 role = "introduction"
@@ -142,25 +136,34 @@ class ReferenceBackend:
                 role = "development"
             links = []
             if k > 0:
-                links.append({"target_id": episodes[k - 1]["id"], "relation": "precedes"})
+                links.append(f'{{"target_id": {ids[k - 1]}, "relation": "precedes"}}')
             mark = 1 << k
-            level = [0] * levels_needed
-            for token in set(content_tokens(ep["summary"])):
-                b = bits.get(token, 0)
-                bits[token] = b | mark
-                if b:
+            tokens = set(content_tokens(ep["summary"]))
+            shared = tokens & bits.keys()
+            bits.update(dict.fromkeys(tokens - shared, mark))  # first seen: no fold
+            if len(shared) < levels_needed:  # too few for any refers_back link
+                for token in shared:
+                    bits[token] |= mark
+            else:
+                level = [0] * levels_needed
+                for token in shared:
+                    b = bits[token]
+                    bits[token] = b | mark
                     for i in fold:
                         level[i] |= level[i - 1] & b
                     level[0] |= b
-            hit = level[-1] & ((1 << max(k - 1, 0)) - 1)  # non-adjacent: j <= k-2
-            while hit:
-                low = hit & -hit
-                links.append(
-                    {"target_id": episodes[low.bit_length() - 1]["id"], "relation": "refers_back"}
-                )
-                hit ^= low
-            out.append({"id": ep["id"], "narrative_role": role, "causal_links": links})
-        return json.dumps({"episodes": out})
+                hit = level[-1] & ((1 << max(k - 1, 0)) - 1)  # non-adjacent: j <= k-2
+                while hit:
+                    low = hit & -hit
+                    links.append(
+                        f'{{"target_id": {ids[low.bit_length() - 1]}, "relation": "refers_back"}}'
+                    )
+                    hit ^= low
+            links_json = ", ".join(links)
+            out.append(
+                f'{{"id": {ids[k]}, "narrative_role": "{role}", "causal_links": [{links_json}]}}'
+            )
+        return '{"episodes": [' + ", ".join(out) + "]}"
 
     def _perceive(self, request: ChatRequest, payload: str) -> str:
         top_k = int(request.context.get("top_k", 5))
@@ -223,7 +226,16 @@ class ReferenceBackend:
         budget = int(request.context.get("summary_budget", 30))
         evidence = extract_block(payload, "evidence") or ""
         summary = reference_note_summary(answer_id, " ".join(evidence.split()), budget)
-        return json.dumps({"summary": summary}, ensure_ascii=False)
+        return f'{{"summary": {_json_str(summary)}}}'
+
+    _HANDLERS = {
+        "memory_segmentation": _segment,
+        "memory_abstraction": _abstract,
+        "memory_narrative": _narrate,
+        "perception": _perceive,
+        "action": _act,
+        "reflection": _reflect,
+    }
 
 
 class ScriptedBackend:

@@ -25,22 +25,18 @@ def strip_edges(token: str) -> str:
 
 def content_tokens(text: str) -> list[str]:
     """Lowercased, punctuation-trimmed tokens with stopwords removed."""
-    out = []
-    for raw in text.split():
-        tok = raw.strip(_EDGE_CHARS).lower()  # strip_edges, inlined: this loop is hot
-        if tok and tok not in STOPWORDS:
-            out.append(tok)
-    return out
+    # lowering the whole text first equals lowering each trimmed token:
+    # lowercasing neither makes nor removes whitespace or edge characters
+    return [
+        tok
+        for raw in text.lower().split()
+        if (tok := raw.strip(_EDGE_CHARS)) and tok not in STOPWORDS
+    ]
 
 
 def raw_tokens(text: str) -> list[str]:
     """Lowercased, punctuation-trimmed tokens, stopwords kept."""
-    out = []
-    for raw in text.split():
-        tok = raw.strip(_EDGE_CHARS).lower()
-        if tok:
-            out.append(tok)
-    return out
+    return [tok for raw in text.lower().split() if (tok := raw.strip(_EDGE_CHARS))]
 
 
 def truncate_tokens(text: str, budget: int) -> str:

@@ -121,11 +121,11 @@ class Transcript:
     def digest(self) -> str:
         """Content hash tying derived artifacts (memory files) to this
         transcript's lines; computed once per instance."""
-        h = hashlib.sha256()
-        h.update(self.source_kind.encode())
-        for line in self.lines:
-            h.update(f"\n{line.index}\t{line.start_s:.3f}\t{line.end_s:.3f}\t{line.text}".encode())
-        return h.hexdigest()
+        body = "".join(
+            f"\n{line.index}\t{line.start_s:.3f}\t{line.end_s:.3f}\t{line.text}"
+            for line in self.lines
+        )
+        return hashlib.sha256((self.source_kind + body).encode()).hexdigest()
 
 
 @dataclass(frozen=True)

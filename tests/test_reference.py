@@ -7,9 +7,22 @@ from hypothesis import strategies as st
 
 from gcagent.backend import ChatRequest, TextPart
 from gcagent.memory import CONFLICT_LEXICON
-from gcagent.prompts import format_episode_line, wrap_block
+from gcagent.prompts import (
+    format_episode_line,
+    format_speech_line,
+    parse_transcript_block,
+    wrap_block,
+)
 from gcagent.reference import ReferenceBackend
-from gcagent.text import content_tokens, raw_tokens
+from gcagent.text import (
+    STOPWORDS,
+    capitalized_entities,
+    content_tokens,
+    raw_tokens,
+    strip_edges,
+    truncate_tokens,
+)
+from gcagent.transcript import SpeechLine
 
 # dense on purpose: stopwords, conflict words, punctuation and case variants,
 # so summaries share tokens often and some share only their ordinal
@@ -64,7 +77,7 @@ def listings(draw):
     return entries
 
 
-def _narrate(entries, overlap):
+def _narrate_text(entries, overlap):
     lines = [
         format_episode_line(eid, 0.0, 1.0, summary) if kind == "ok" else summary
         for kind, eid, summary in entries
@@ -74,7 +87,11 @@ def _narrate(entries, overlap):
         user_parts=(TextPart(wrap_block("memory", "\n".join(lines))),),
         context={"stage": "memory_narrative", "refers_back_overlap": overlap},
     )
-    return json.loads(ReferenceBackend().complete(request).text)
+    return ReferenceBackend().complete(request).text
+
+
+def _narrate(entries, overlap):
+    return json.loads(_narrate_text(entries, overlap))
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,3 +107,59 @@ def test_ordinal_only_summaries_link_on_any_overlap():
     assert [l["target_id"] for l in out[3]["causal_links"]] == [2, 0, 1]
     assert _narrate(entries, 2) == _oracle(entries, 2)
     assert all(len(ep["causal_links"]) <= 1 for ep in _narrate(entries, 2)["episodes"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=listings(), overlap=st.integers(0, 4))
+def test_narrative_text_is_what_json_dumps_writes(entries, overlap):
+    assert _narrate_text(entries, overlap) == json.dumps(_oracle(entries, overlap))
+
+
+# one line of transcript text: any character but the line break and surrogates
+LINE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), min_size=1
+).map(lambda t: f"Word {t}")
+
+
+def _complete(stage, block, inner, **context):
+    request = ChatRequest(
+        system="s",
+        user_parts=(TextPart(wrap_block(block, inner)),),
+        context={"stage": stage, **context},
+    )
+    return ReferenceBackend().complete(request).text
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(LINE_TEXT, min_size=1, max_size=4), budget=st.integers(1, 12))
+def test_abstraction_text_is_what_json_dumps_writes(texts, budget):
+    lines = [
+        SpeechLine(index=i + 1, start_s=float(i), end_s=i + 0.5, text=text)
+        for i, text in enumerate(texts)
+    ]
+    inner = "\n".join(format_speech_line(line) for line in lines)
+    text = _complete("memory_abstraction", "transcript", inner, ordinal=2, summary_budget=budget)
+    unit_text = " ".join(row[3] for row in parse_transcript_block(inner))
+    expected = {
+        "summary": f"Event 2: {truncate_tokens(unit_text, budget)}".strip(),
+        "entities": capitalized_entities(unit_text),
+    }
+    assert text == json.dumps(expected, ensure_ascii=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evidence=LINE_TEXT)
+def test_reflection_text_is_what_json_dumps_writes(evidence):
+    text = _complete("reflection", "evidence", evidence, answer_id="B", summary_budget=6)
+    summary = truncate_tokens(f"(B) {' '.join(evidence.split())}", 6)
+    assert text == json.dumps({"summary": summary}, ensure_ascii=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(
+    list(" \t\n\x1c\x85\u3000.,:;!?\"'()“”‘’…¿¡-") + ["İ", "ß", "A", "b", "The", "AND", "w01"]
+)).map("".join))
+def test_tokenizers_trim_each_token_then_lower_it(text):
+    trimmed = [strip_edges(raw).lower() for raw in text.split()]
+    assert raw_tokens(text) == [tok for tok in trimmed if tok]
+    assert content_tokens(text) == [tok for tok in trimmed if tok and tok not in STOPWORDS]

@@ -66,8 +66,6 @@ EXIT_INPUT = 1
 EXIT_BACKEND = 2
 EXIT_USAGE = 64
 
-log = logging.getLogger("gcagent")
-
 _DEFAULTS: dict = {
     "reference": None,  # auto: true unless an endpoint is configured
     "manager": {"endpoint": None, "model": "manager", "timeout_s": 60.0, "max_retries": 3,

@@ -16,9 +16,8 @@ from pathlib import Path
 
 from .backend import Backend, ChatRequest
 from .errors import GcagentError, ManifestError, StageError, UnparseableAnswer
-from .memory import MemoryParams, MemoryStore, VideoSession, memory_text, reflect
+from .memory import MemoryParams, MemoryStore, VideoSession, reflect
 from .perception import PerceptionParams, PerceptionResult, Query, perceive
-from .prompts import wrap_block
 from .reasoning import ActionResult, EvidenceConfig, act, assemble_evidence
 from .transcript import Transcript, count_tokens, load_transcript
 
@@ -250,12 +249,6 @@ def _staged(stage: str, fn, *args, **kwargs):
         raise StageError(stage, exc) from exc
 
 
-def _memory_block(memory) -> tuple[str, int]:
-    """The narrative `<memory>` block and the token count of its text."""
-    text = memory_text(memory)
-    return wrap_block("memory", text), count_tokens(text).count
-
-
 @dataclass
 class Outcome:
     perception: PerceptionResult
@@ -272,12 +265,13 @@ def answer(
     dry_run: bool = False,
 ) -> Outcome:
     """Perceive, assemble, act and, when `config.reflect` is set, reflect
-    and commit the new memory version through the session. The memory text
-    is rendered once for all stages and counted in `memory_tokens`. With
-    `dry_run` the request is assembled but neither acted on nor reflected
-    (`result` is None). Stage failures carry the stage name."""
+    and commit the new memory version through the session. The session
+    renders the memory block for all stages and counts its text in
+    `memory_tokens`. With `dry_run` the request is assembled but neither
+    acted on nor reflected (`result` is None). Stage failures carry the
+    stage name."""
     transcript, memory = session.transcript, session.memory
-    block, memory_tokens = _memory_block(memory)
+    block, memory_tokens = session.memory_block()
     perception = _staged(
         "perception",
         perceive,

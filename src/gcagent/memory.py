@@ -15,7 +15,9 @@ import json
 import secrets
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -141,26 +143,29 @@ class EpisodicMemory:
 
 # --- prompt-facing serialization -------------------------------------------------
 
+def _episode_text(ep: Episode, include_narrative: bool = True) -> str:
+    """One episode's lines of `memory_text`: its episode line and its notes."""
+    lines = [
+        format_episode_line(
+            ep.id,
+            ep.span[0],
+            ep.span[1],
+            ep.schematic_summary,
+            role=ep.narrative_role if include_narrative else None,
+            links=[(l.relation, l.target_id) for l in ep.causal_links]
+            if include_narrative
+            else None,
+        )
+    ]
+    for note in ep.reflections:
+        lines.append(format_note_line(note.created_version, note.answer_id, note.summary))
+    return "\n".join(lines)
+
+
 def memory_text(memory: EpisodicMemory, include_narrative: bool = True) -> str:
     """One line per episode plus its reflection notes. The narrative form
     carries roles and causal links; the schematic form omits them."""
-    lines = []
-    for ep in memory.episodes:
-        lines.append(
-            format_episode_line(
-                ep.id,
-                ep.span[0],
-                ep.span[1],
-                ep.schematic_summary,
-                role=ep.narrative_role if include_narrative else None,
-                links=[(l.relation, l.target_id) for l in ep.causal_links]
-                if include_narrative
-                else None,
-            )
-        )
-        for note in ep.reflections:
-            lines.append(format_note_line(note.created_version, note.answer_id, note.summary))
-    return "\n".join(lines)
+    return "\n".join(_episode_text(ep, include_narrative) for ep in memory.episodes)
 
 
 def memory_token_count(memory: EpisodicMemory) -> int:
@@ -481,15 +486,29 @@ def _interval_gap(a: tuple[float, float], b: tuple[float, float]) -> float:
 def _target_episode(
     memory: EpisodicMemory, perception_spans: Sequence[tuple[float, float]]
 ) -> int:
+    """Position of the episode with the largest total overlap with the
+    perception spans (the first on ties); when nothing overlaps, the one
+    nearest to them."""
     if not perception_spans:
         return 0
-    overlaps = [
-        sum(_interval_overlap(ep.span, span) for span in perception_spans)
-        for ep in memory.episodes
-    ]
-    best = max(overlaps)
-    if best > 0:
-        return overlaps.index(best)
+    spans = [ep.span for ep in memory.episodes]
+    # positions ordered by span start, so each perception span bisects to the
+    # episodes it can overlap; a span holding a nan overlaps nothing and is
+    # left out (memory files may list spans in any order)
+    order = sorted((i for i, (a, b) in enumerate(spans) if a <= b), key=lambda i: spans[i][0])
+    starts = [spans[i][0] for i in order]
+    reach = list(accumulate([spans[i][1] for i in order], max))  # furthest end so far
+    candidates: set[int] = set()
+    for lo, hi in perception_spans:
+        # overlap > 0 needs end > lo and start < hi
+        candidates.update(order[bisect_right(reach, lo) : bisect_left(starts, hi)])
+    best, target = 0.0, None
+    for i in sorted(candidates):
+        overlap = sum(_interval_overlap(spans[i], span) for span in perception_spans)
+        if overlap > best:
+            best, target = overlap, i
+    if target is not None:
+        return target
     gaps = [
         min(_interval_gap(ep.span, span) for span in perception_spans)
         for ep in memory.episodes
@@ -593,43 +612,49 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + indent + sep.join(items) + "\n" + indent[:-2] + "]"
 
 
+def _episode_json(ep: Episode) -> str:
+    """One episode as an item of the `save_memory` episode list."""
+    s, num = _json_str, _json_num
+    links = [
+        f'{{\n          "target_id": {num(l.target_id)},\n'
+        f'          "relation": {s(l.relation)}\n        }}'
+        for l in ep.causal_links
+    ]
+    notes = [
+        f'{{\n          "query": {s(n.query)},\n'
+        f'          "answer_id": {s(n.answer_id)},\n'
+        f'          "summary": {s(n.summary)},\n'
+        f'          "created_version": {num(n.created_version)}\n        }}'
+        for n in ep.reflections
+    ]
+    return (
+        f'{{\n      "id": {num(ep.id)},\n'
+        f'      "span": [\n        {num(ep.span[0])},\n        {num(ep.span[1])}\n      ],\n'
+        f'      "line_range": [\n        {num(ep.line_range[0])},\n'
+        f'        {num(ep.line_range[1])}\n      ],\n'
+        f'      "schematic_summary": {s(ep.schematic_summary)},\n'
+        f'      "entities": {_json_list([s(e) for e in ep.entities], "        ")},\n'
+        f'      "narrative_role": {s(ep.narrative_role)},\n'
+        f'      "causal_links": {_json_list(links, "        ")},\n'
+        f'      "reflections": {_json_list(notes, "        ")}\n    }}'
+    )
+
+
+def _memory_json(memory: EpisodicMemory, episodes: list[str]) -> bytes:
+    """`save_memory(memory)` from its episodes through `_episode_json`."""
+    return (
+        f'{{\n  "version": {_json_num(memory.version)},\n'
+        f'  "source_digest": {_json_str(memory.source_digest)},\n'
+        f'  "episodes": {_json_list(episodes, "    ")}\n}}\n'
+    ).encode("utf-8")
+
+
 def save_memory(memory: EpisodicMemory) -> bytes:
     """The memory as UTF-8 JSON, byte for byte what
     ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` gives for the
     documented schema; written directly because the C encoder does not
     handle ``indent``."""
-    s, num = _json_str, _json_num
-    episodes = []
-    for ep in memory.episodes:
-        links = [
-            f'{{\n          "target_id": {num(l.target_id)},\n'
-            f'          "relation": {s(l.relation)}\n        }}'
-            for l in ep.causal_links
-        ]
-        notes = [
-            f'{{\n          "query": {s(n.query)},\n'
-            f'          "answer_id": {s(n.answer_id)},\n'
-            f'          "summary": {s(n.summary)},\n'
-            f'          "created_version": {num(n.created_version)}\n        }}'
-            for n in ep.reflections
-        ]
-        episodes.append(
-            f'{{\n      "id": {num(ep.id)},\n'
-            f'      "span": [\n        {num(ep.span[0])},\n        {num(ep.span[1])}\n      ],\n'
-            f'      "line_range": [\n        {num(ep.line_range[0])},\n'
-            f'        {num(ep.line_range[1])}\n      ],\n'
-            f'      "schematic_summary": {s(ep.schematic_summary)},\n'
-            f'      "entities": {_json_list([s(e) for e in ep.entities], "        ")},\n'
-            f'      "narrative_role": {s(ep.narrative_role)},\n'
-            f'      "causal_links": {_json_list(links, "        ")},\n'
-            f'      "reflections": {_json_list(notes, "        ")}\n    }}'
-        )
-    text = (
-        f'{{\n  "version": {num(memory.version)},\n'
-        f'  "source_digest": {s(memory.source_digest)},\n'
-        f'  "episodes": {_json_list(episodes, "    ")}\n}}\n'
-    )
-    return text.encode("utf-8")
+    return _memory_json(memory, [_episode_json(ep) for ep in memory.episodes])
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -751,7 +776,13 @@ class VideoSession:
     stands for, so that a file read again is parsed again only when its
     bytes changed. Reflections are written through `store` (as `video_id`)
     when set, else to `path` when set, else kept in this process only. A
-    store's session belongs to the thread that opened it."""
+    store's session belongs to the thread that opened it.
+
+    The session also keeps each episode's JSON item and, from the first
+    `memory_block` call on, its memory-text lines and their token count.
+    A new memory version re-renders only the episodes that are new objects:
+    `reflect` replaces exactly one. The caches go with the memory they
+    belong to when it is parsed again, rebuilt, or the video changes."""
 
     transcript: Transcript | None = None
     memory: EpisodicMemory | None = None
@@ -761,15 +792,60 @@ class VideoSession:
     source: tuple[str, float | None] | None = None
     source_hash: bytes = b""
     memory_hash: bytes = b""
+    # the episodes the caches below were rendered from; holding them keeps
+    # their identities from being reused by new objects
+    _episodes: tuple[Episode, ...] = field(default=(), repr=False)
+    _json: list[str] | None = field(default=None, repr=False)
+    _text: list[str] | None = field(default=None, repr=False)
+    _tokens: list[int] | None = field(default=None, repr=False)
 
     def commit(self, memory: EpisodicMemory) -> None:
         """Make `memory` the current version and write it out."""
         if self.store is not None:
             self.store.save(self.video_id, memory)
         elif self.path is not None:
-            _write_atomic(self.path, save_memory(memory))
+            _write_atomic(self.path, self.serialize(memory))
         if self.memory is not memory:  # the store records it in its thread's session only
             self.memory, self.memory_hash = memory, b""
+
+    def drop_memory(self) -> None:
+        """Forget the memory and everything rendered from it."""
+        self.memory, self.memory_hash = None, b""
+        self._episodes, self._json, self._text, self._tokens = (), None, None, None
+
+    def _sync(self, memory: EpisodicMemory) -> None:
+        """Bring the per-episode caches up to `memory`."""
+        episodes, old = memory.episodes, self._episodes
+        if episodes is old:
+            return
+        if len(episodes) != len(old):
+            self._json = self._text = self._tokens = None
+        else:
+            for i, ep in enumerate(episodes):
+                if ep is old[i]:
+                    continue
+                if self._json is not None:
+                    self._json[i] = _episode_json(ep)
+                if self._text is not None:
+                    self._text[i] = text = _episode_text(ep)
+                    self._tokens[i] = count_tokens(text).count
+        self._episodes = episodes
+
+    def serialize(self, memory: EpisodicMemory) -> bytes:
+        """`save_memory(memory)`, re-rendering only changed episodes."""
+        self._sync(memory)
+        if self._json is None:
+            self._json = [_episode_json(ep) for ep in memory.episodes]
+        return _memory_json(memory, self._json)
+
+    def memory_block(self) -> tuple[str, int]:
+        """`wrap_block("memory", memory_text(self.memory))` and the token
+        count of that text, re-rendering only changed episodes."""
+        self._sync(self.memory)
+        if self._text is None:
+            self._text = [_episode_text(ep) for ep in self.memory.episodes]
+            self._tokens = [count_tokens(text).count for text in self._text]
+        return wrap_block("memory", "\n".join(self._text)), sum(self._tokens)
 
 
 class MemoryStore:
@@ -832,12 +908,13 @@ class MemoryStore:
         return session
 
     def _write(self, video_id: str, memory: EpisodicMemory, session: VideoSession | None) -> None:
-        if session is not None:
-            session.memory, session.memory_hash = None, b""
-        data = save_memory(memory)
+        if session is None:
+            _write_atomic(self.path(video_id), save_memory(memory))
+            return
+        session.memory, session.memory_hash = None, b""
+        data = session.serialize(memory)
         _write_atomic(self.path(video_id), data)
-        if session is not None:
-            session.memory, session.memory_hash = memory, _content_hash(data)
+        session.memory, session.memory_hash = memory, _content_hash(data)
 
     def save(self, video_id: str, memory: EpisodicMemory) -> None:
         with self._lock(video_id):
@@ -863,12 +940,12 @@ class MemoryStore:
             if data is not None:
                 digest = _content_hash(data)
                 if session.memory is None or session.memory_hash != digest:
-                    session.memory = None
+                    session.drop_memory()
                     session.memory = load_memory(data)
                     session.memory_hash = digest
                 if session.memory.source_digest == transcript_digest(transcript):
                     return session.memory
-            session.memory = None
+            session.drop_memory()
             built = build_memory(transcript, backend, params, templates)
             self._write(video_id, built, session)
             return built

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import shlex
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,12 +34,12 @@ from .prompts import (
     SYSTEM_MEMORY_MANAGER,
     format_options,
     lookup_template,
-    transcript_block,
     wrap_block,
 )
 from .transcript import SpeechLine, Transcript, transcript_digest
 
 DEFAULT_MAX_FRAMES = 32
+_start = attrgetter("start_s")
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,8 @@ def _merge_hit_lines(
     params: PerceptionParams,
     duration: float,
 ) -> list[tuple[float, float]]:
-    by_index = {line.index: line for line in lines}
-    hits = [by_index[i] for i in sorted(set(hit_indices)) if i in by_index]
+    # a line's index is its 1-based position; perceive keeps only valid ones
+    hits = [lines[i - 1] for i in sorted(set(hit_indices))]
     groups: list[list[SpeechLine]] = []
     for line in hits:
         if groups and line.start_s - groups[-1][-1].end_s <= params.merge_window_s:
@@ -234,7 +236,7 @@ def perceive(
             "query": " ".join(query.text.split()),
             "options": format_options(query.options),
             "memory": memory_block,
-            "transcript": transcript_block(transcript.lines),
+            "transcript": transcript.block,
         },
     )
     request = ChatRequest(
@@ -263,17 +265,14 @@ def perceive(
         )
         clip = uniform_clip(max(duration, 1e-9), params.max_frames)
         return PerceptionResult(spans=(), clip=clip, selected_lines=(), used_fallback=True)
-    merged = _merge_hit_lines(transcript.lines, indices, params, duration)
-    spans = tuple(
-        Span(
-            start_s=lo,
-            end_s=hi,
-            line_indices=tuple(
-                l.index for l in transcript.lines if lo <= l.start_s and l.end_s <= hi
-            ),
-        )
-        for lo, hi in merged
-    )
+    lines = transcript.lines
+    spans = []
+    for lo, hi in _merge_hit_lines(lines, indices, params, duration):
+        # starts are sorted, so the lines starting in [lo, hi] are one slice
+        first, last = bisect_left(lines, lo, key=_start), bisect_right(lines, hi, key=_start)
+        inside = tuple(l.index for l in lines[first:last] if l.end_s <= hi)
+        spans.append(Span(start_s=lo, end_s=hi, line_indices=inside))
+    spans = tuple(spans)
     selected = tuple(
         transcript.lines[i - 1] for span in spans for i in span.line_indices
     )

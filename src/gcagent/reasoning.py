@@ -144,7 +144,7 @@ def assemble_evidence(
             block = wrap_block("memory", memory_text(memory, include_narrative=narrative))
         parts.append(TextPart(block))
     if config.text == "full_transcript":
-        parts.append(TextPart(transcript_block(transcript.lines)))
+        parts.append(TextPart(transcript.block))
     elif config.text == "qr_transcript":
         parts.append(TextPart(transcript_block(perception.selected_lines)))
     if config.vision != "none":

@@ -71,6 +71,8 @@ class ReferenceBackend:
     # -- dispatch ---------------------------------------------------------
 
     def complete(self, request: ChatRequest) -> ChatResponse:
+        """The stage rule's response. `prompt_tokens` is 0 (not reported),
+        as from an HTTP endpoint that sends no usage."""
         if request.has_images() and not self.profile.multimodal:
             raise CapabilityMismatch("text-only reference backend received image parts")
         payload = request.text_payload()
@@ -80,11 +82,7 @@ class ReferenceBackend:
             text = f"reference:{digest}"
         else:
             text = handler(self, request, payload)
-        return ChatResponse(
-            text=text,
-            prompt_tokens=len(payload.split()),
-            completion_tokens=len(text.split()),
-        )
+        return ChatResponse(text=text, completion_tokens=len(text.split()))
 
     # -- stage rules --------------------------------------------------------
 

@@ -54,8 +54,8 @@ class SpeechLine:
     def __post_init__(self):
         if self.start_s < 0:
             raise InvariantViolation(f"line {self.index}: negative start time")
-        if self.start_s > self.end_s:
-            raise InvariantViolation(f"line {self.index}: start after end")
+        if not self.start_s <= self.end_s:  # also false for a nan time
+            raise InvariantViolation(f"line {self.index}: start after end or not a number")
         if not self.text.strip():
             raise InvariantViolation(f"line {self.index}: empty text")
 
@@ -116,6 +116,14 @@ class Transcript:
     def token_count(self) -> int:
         """`count_tokens(self.full_text())`, counted once per instance."""
         return count_tokens(self.full_text()).count
+
+    @cached_property
+    def block(self) -> str:
+        """The `<transcript>` prompt block of all lines; rendered once per
+        instance."""
+        from .prompts import transcript_block  # prompts imports this module
+
+        return transcript_block(self.lines)
 
     @cached_property
     def digest(self) -> str:
@@ -308,7 +316,7 @@ def parse_caption_doc(data: bytes) -> Transcript:
             raise MalformedRecord(line_no, "record is not an object")
         t = record.get("t")
         caption = record.get("caption")
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0:
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not t >= 0:
             raise MalformedRecord(line_no, "field 't' must be a non-negative number")
         if not isinstance(caption, str) or not caption.strip():
             raise MalformedRecord(line_no, "field 'caption' must be a non-empty string")

@@ -545,3 +545,76 @@ def test_episode_invariants():
             version=1,
             source_digest="d",
         )
+
+
+def _scan_target(memory: EpisodicMemory, perception_spans) -> int:
+    """Reference rule: the largest summed overlap over every episode, the
+    first on ties; the smallest gap when nothing overlaps."""
+    if not perception_spans:
+        return 0
+
+    def overlap(a, b):
+        return max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+
+    def gap(a, b):
+        return max(0.0, max(b[0] - a[1], a[0] - b[1]))
+
+    overlaps = [sum(overlap(ep.span, s) for s in perception_spans) for ep in memory.episodes]
+    best = max(overlaps)
+    if best > 0:
+        return overlaps.index(best)
+    gaps = [min(gap(ep.span, s) for s in perception_spans) for ep in memory.episodes]
+    return gaps.index(min(gaps))
+
+
+# few distinct values, so starts, ends and perception bounds tie often
+_times = st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 7.25, 10.0, 30.0])
+_episode_spans = st.lists(
+    st.one_of(
+        st.tuples(_times, _times).map(sorted).map(tuple),  # zero-width when equal
+        st.sampled_from([(_NAN, _NAN), (_NAN, 3.0), (-_INF, _INF), (0.0, _INF)]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    spans=_episode_spans,
+    sort_starts=st.booleans(),
+    perception=st.lists(st.tuples(_times, _times).map(sorted).map(tuple), max_size=5),
+)
+def test_target_episode_matches_scan(spans, sort_starts, perception):
+    from gcagent.memory import _target_episode
+
+    if sort_starts:  # as build_memory makes them; loaded files may be in any order
+        spans = sorted(spans, key=lambda s: (math.isnan(s[0]), s[0]))
+    memory = EpisodicMemory(
+        episodes=tuple(_episode(i, span) for i, span in enumerate(spans)),
+        version=1,
+        source_digest="d",
+    )
+    assert _target_episode(memory, perception) == _scan_target(memory, perception)
+
+
+@pytest.mark.parametrize(
+    "spans, perception",
+    [
+        # an early episode whose end reaches past later ones still counts
+        ([(0.0, 100.0), (1.0, 2.0), (3.0, 4.0)], [(50.0, 60.0)]),
+        ([(0.0, 100.0), (1.0, 2.0), (3.0, 4.0)], [(3.0, 4.0)]),
+        ([(0.0, 100.0), (1.0, 2.0), (3.0, 4.0)], [(200.0, 300.0)]),
+        # starts out of order: the best overlap sits behind later starts
+        ([(5.0, 6.0), (10.0, 11.0), (12.0, 13.0), (0.0, 0.5), (0.0, 1.0)], [(0.0, 1.0)]),
+    ],
+)
+def test_target_episode_fixed_cases(spans, perception):
+    from gcagent.memory import _target_episode
+
+    memory = EpisodicMemory(
+        episodes=tuple(_episode(i, span) for i, span in enumerate(spans)),
+        version=1,
+        source_digest="d",
+    )
+    assert _target_episode(memory, perception) == _scan_target(memory, perception)

@@ -224,3 +224,77 @@ def test_frame_extraction_commands(tmp_path):
     assert ts == 2.5
     assert path.endswith("frame_0000_2.500.jpg")
     assert "video.mp4" in cmd and "-ss 2.500" in cmd
+
+
+def _scan_spans(lines, hit_indices, params, duration):
+    """Reference rule: merge the hit lines by a dict lookup, then collect each
+    span's lines by a scan over the whole transcript."""
+    by_index = {line.index: line for line in lines}
+    hits = [by_index[i] for i in sorted(set(hit_indices)) if i in by_index]
+    groups = []
+    for line in hits:
+        if groups and line.start_s - groups[-1][-1].end_s <= params.merge_window_s:
+            groups[-1].append(line)
+        else:
+            groups.append([line])
+    merged = []
+    for group in groups:
+        lo = max(0.0, min(l.start_s for l in group) - params.pad_s)
+        hi = min(duration, max(l.end_s for l in group) + params.pad_s)
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return [
+        (lo, hi, tuple(l.index for l in lines if lo <= l.start_s and l.end_s <= hi))
+        for lo, hi in merged
+    ]
+
+
+# few distinct values, so starts tie, widths are zero and ends fall out of order
+_line_starts = st.sampled_from([0.0, 0.5, 1.0, 3.0, 4.0, 10.0, 12.5, 30.0])
+_line_widths = st.sampled_from([0.0, 0.0, 0.5, 2.0, 9.0, 25.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_line_starts, _line_widths), min_size=1, max_size=15),
+    hits=st.lists(st.integers(min_value=-1, max_value=17), max_size=6),
+    pad_s=st.sampled_from([0.0, 0.5, 2.0]),
+    merge_window_s=st.sampled_from([0.0, 1.0, 10.0]),
+    extra_duration=st.sampled_from([None, 0.0, 3.0]),
+)
+def test_perceive_spans_match_scan(rows, hits, pad_s, merge_window_s, extra_duration):
+    import json
+    import warnings
+
+    from gcagent.memory import Episode, EpisodicMemory
+    from gcagent.reference import ScriptedBackend
+
+    lines = [(s, s + w, f"line {i}") for i, (s, w) in enumerate(rows)]
+    end = max(e for _, e, _ in lines)
+    t = make_transcript(lines, duration=None if extra_duration is None else end + extra_duration)
+    memory = EpisodicMemory(
+        episodes=(Episode(id=0, span=(0.0, end), line_range=(1, len(lines)), schematic_summary="s"),),
+        version=1,
+        source_digest=t.digest,
+    )
+    params = PerceptionParams(pad_s=pad_s, merge_window_s=merge_window_s)
+    backend = ScriptedBackend([json.dumps({"line_indices": hits})])
+    query = Query(text="q", options=(("A", "a"), ("B", "b")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = perceive(query, t, memory, backend, params)
+    in_range = [i for i in hits if 1 <= i <= len(lines)]
+    expected = _scan_spans(t.lines, in_range, params, t.duration_s) if in_range else []
+    assert [(s.start_s, s.end_s, s.line_indices) for s in result.spans] == expected
+
+
+def test_nan_caption_time_is_a_malformed_record():
+    from gcagent.errors import MalformedRecord
+    from gcagent.transcript import parse_caption_doc
+
+    with pytest.raises(MalformedRecord):
+        parse_caption_doc(b'{"t": NaN, "caption": "x"}\n')
+    with pytest.raises(InvariantViolation):
+        make_transcript([(float("nan"), 1.0, "x")])

@@ -6,14 +6,26 @@ from __future__ import annotations
 import dataclasses
 import shutil
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gcagent.memory
 from gcagent.harness import BackendPair, RunConfig, evaluate, load_manifest, run_pipeline
-from gcagent.memory import MemoryStore, load_memory, save_memory
+from gcagent.memory import (
+    MemoryStore,
+    VideoSession,
+    load_memory,
+    memory_text,
+    reflect,
+    save_memory,
+)
+from gcagent.prompts import wrap_block
 from gcagent.reference import ReferenceBackend
-from gcagent.transcript import load_transcript
+from gcagent.transcript import count_tokens, load_transcript
 
 from conftest import FIXTURES
 
@@ -164,15 +176,95 @@ def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, mo
     store = MemoryStore(tmp_path / "mem")
     parses = _count_calls(monkeypatch, gcagent.memory, "load_transcript")
     loads = _count_calls(monkeypatch, gcagent.memory, "load_memory")
-    renders = _count_calls(monkeypatch, gcagent.memory, "memory_text")
+    texts = _count_calls(monkeypatch, gcagent.memory, "memory_text")
+    saves = _count_calls(monkeypatch, gcagent.memory, "save_memory")
+    json_renders = _count_calls(monkeypatch, gcagent.memory, "_episode_json")
+    text_renders = _count_calls(monkeypatch, gcagent.memory, "_episode_text")
     questions = [
         dataclasses.replace(items[k % 2], question_id=f"q{k}") for k in range(10)
     ]
     for k, item in enumerate(questions, start=1):
         run_pipeline(item, RunConfig(), backends, store)
-        assert len(renders) == k
+        if k == 1:
+            episodes = len(load_memory(store.path("vid01").read_bytes()).episodes)
+            assert episodes > 1
+        # every episode once for the first question (the build's write and
+        # the first memory block), then the one reflected episode per question
+        assert len(json_renders) == episodes + k
+        assert len(text_renders) == episodes + k
     assert len(parses) == 1
     assert len(loads) == 0
+    assert len(texts) == len(saves) == 0
     final = load_memory(store.path("vid01").read_bytes())
     assert final.version == 11
     assert [v for v, _ in _notes(final)] == list(range(2, 12))
+
+
+def _assert_session_renders(session: VideoSession) -> None:
+    """What the session renders equals the one-shot functions."""
+    text = memory_text(session.memory)
+    assert session.memory_block() == (wrap_block("memory", text), count_tokens(text).count)
+    assert session.serialize(session.memory) == save_memory(session.memory)
+
+
+_WORDS = st.sampled_from(["pan", "Bob", "caf\u00e9", '"q"', "back\\slash", "|", "\u2028", "eggs"])
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["reflect", "reflect", "reload", "second_store", "switch", "cli"]),
+        st.tuples(st.floats(0.0, 25.0), st.floats(0.0, 8.0)),
+        st.lists(_WORDS, min_size=1, max_size=4),
+    ),
+    max_size=10,
+)
+
+
+@pytest.mark.filterwarnings("ignore::gcagent.errors.DegenerateOutputWarning")
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(steps=_STEPS)
+def test_session_renders_equal_one_shot_functions(steps):
+    reference = ReferenceBackend()
+    sources = {vid: str(FIXTURES / "videos" / f"{vid}.srt") for vid in ("vid01", "vid02")}
+
+    def open_session(store, vid):
+        session = store.session(vid, sources[vid])
+        store.get_or_build(vid, session.transcript, reference)
+        return session
+
+    def reflected(memory, span, words):
+        lo, width = span
+        return reflect(
+            "q " + " ".join(words), (("A", "a"), ("B", "b")), "A", "ev " + " ".join(words),
+            memory, [(lo, lo + width)], reference,
+        )
+
+    with tempfile.TemporaryDirectory() as root:
+        store = MemoryStore(Path(root) / "mem")
+        vid = "vid01"
+        session = open_session(store, vid)
+        base = store.path(vid).read_bytes()
+        for action, span, words in steps:
+            if action == "reflect":
+                session.commit(reflected(session.memory, span, words))
+            elif action == "reload":  # rewritten behind the session
+                store.path(vid).write_bytes(base)
+            elif action == "second_store":
+                other = MemoryStore(Path(root) / "mem")
+                other_session = open_session(other, vid)
+                other_session.commit(reflected(other_session.memory, span, words))
+                _assert_session_renders(other_session)
+            elif action == "switch":
+                vid = "vid02" if vid == "vid01" else "vid01"
+                base = None
+            else:  # `ask --memory`: a session writing to its own file
+                path = Path(root) / "cli.json"
+                path.write_bytes(save_memory(session.memory))
+                cli = VideoSession(transcript=session.transcript, memory=session.memory, path=path)
+                for _ in range(2):
+                    cli.commit(reflected(cli.memory, span, words))
+                    assert path.read_bytes() == save_memory(cli.memory)
+                    _assert_session_renders(cli)
+            session = open_session(store, vid)
+            if base is None:
+                base = store.path(vid).read_bytes()
+            assert store.path(vid).read_bytes() == save_memory(session.memory)
+            _assert_session_renders(session)

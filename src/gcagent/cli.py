@@ -28,6 +28,7 @@ from .errors import (
     BackendFailure,
     ConfigError,
     GcagentError,
+    InvariantViolation,
     ManifestError,
     ParseError,
     SchemaViolation,
@@ -162,8 +163,10 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
                 raise ConfigError(
                     f"reference mode forbids an endpoint for the {role} role"
                 )
-    if cfg["perception"]["max_frames"] < 1:
-        raise ConfigError("max_frames must be >= 1")
+    try:
+        PerceptionParams(**cfg["perception"])
+    except (InvariantViolation, TypeError) as exc:  # TypeError: an unknown field
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

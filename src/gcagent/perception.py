@@ -69,6 +69,19 @@ class PerceptionParams:
     merge_window_s: float = 10.0
     max_frames: int = DEFAULT_MAX_FRAMES
 
+    def __post_init__(self):
+        for name, types, low in (
+            ("top_k", int, 1),
+            ("pad_s", (int, float), 0),
+            ("merge_window_s", (int, float), 0),
+            ("max_frames", int, 1),
+        ):
+            value = getattr(self, name)
+            # `not value >= low` also rejects NaN
+            if isinstance(value, bool) or not isinstance(value, types) or not value >= low:
+                kind = "an integer" if types is int else "a number"
+                raise InvariantViolation(f"{name} must be {kind} >= {low}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class Span:

@@ -15,15 +15,26 @@ reading the same prompts a live model would receive:
   refers_back link to each earlier unit j <= k-2 whose summary shares at
   least ``refers_back_overlap`` distinct content tokens with its own
   (an overlap of 1 or less means any shared token), targets ascending.
-- perception: per-line score is the content-token overlap with the query
-  plus options; the top_k scoring lines win, earlier lines on ties.
+- perception: per-line score is the number of distinct content tokens the
+  line shares with the query plus options; the top_k scoring lines win,
+  lower line indices on ties.
 - action: picks the option with the greatest content-token overlap against
   the provided transcript excerpt and memory summaries (lowest label on
-  ties); evidence is the best-scoring transcript line verbatim.
+  ties). The evidence, scored the same way as perception scores lines, is
+  the best transcript line verbatim (lowest line index, then earliest line,
+  on ties); with no transcript lines, the best memory summary (earliest on
+  ties, the first one when none shares a token); else, or when that line
+  or summary is empty, "No textual evidence available."
 - reflection: summary is "(label) evidence" truncated to the token budget.
 
 Every response is a pure function of the request, so identical requests
-produce byte-identical responses.
+produce byte-identical responses. Per thread, the backend keeps an index
+(posting lists from content token to positions) of the last ``<transcript>``
+block perception read and of the episode lines of the last ``<memory>``
+block action read, keyed by the sha256 of that text. An unchanged block is
+thus parsed and tokenized once, not on every question; reflection notes,
+which change with every answered question, are not part of the memory key.
+The index changes no response.
 """
 
 from __future__ import annotations
@@ -31,7 +42,11 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from typing import Mapping, Sequence
+import sys
+import threading
+from collections import Counter
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .backend import BackendProfile, ChatRequest, ChatResponse
 from .errors import CapabilityMismatch
@@ -48,11 +63,61 @@ from .text import capitalized_entities, content_tokens, raw_tokens, truncate_tok
 
 _json_str = json.encoder.encode_basestring  # a string as json.dumps(ensure_ascii=False) writes it
 _CONFLICT_SCREEN = re.compile("|".join(map(re.escape, sorted(CONFLICT_LEXICON))))
+_Postings = dict[str, tuple[int, ...]]  # content token -> ascending positions
 
 
 def pick_best_option(scores: Mapping[str, float]) -> str:
     """Highest score wins; ties go to the lowest label."""
     return min(scores, key=lambda label: (-scores[label], label))
+
+
+def _needle(query: str, options: Sequence[tuple[str, str]]) -> set[str]:
+    """The distinct content tokens of the query and every option text."""
+    needle = set(content_tokens(query))
+    for _, option_text in options:
+        needle.update(content_tokens(option_text))
+    return needle
+
+
+def _postings(texts: Iterable[str]) -> _Postings:
+    """Each distinct content token -> the ascending positions of the texts
+    that contain it."""
+    postings: dict[str, list[int]] = {}
+    for pos, text in enumerate(texts):
+        for tok in set(content_tokens(text)):
+            hits = postings.get(tok)
+            if hits is None:
+                # interned, so the transcript and memory indexes share their keys
+                postings[sys.intern(tok)] = [pos]
+            else:
+                hits.append(pos)
+    return {tok: tuple(hits) for tok, hits in postings.items()}  # no spare list capacity
+
+
+def _overlaps(needle: Iterable[str], postings: _Postings) -> Counter:
+    """Position -> how many distinct needle tokens its text holds, for every
+    position holding at least one."""
+    return Counter(chain.from_iterable(postings.get(tok, ()) for tok in needle))
+
+
+def _best(needle: Iterable[str], postings: _Postings, keys: Sequence[int]) -> int:
+    """The position sharing the most distinct tokens with `needle`; ties,
+    and the case where no position shares any, go to the lowest key, then
+    the lowest position. `keys` is not empty."""
+    counts = _overlaps(needle, postings)
+    return min(counts or range(len(keys)), key=lambda pos: (-counts[pos], keys[pos], pos))
+
+
+def _transcript_index(block: str) -> tuple[list[int], _Postings]:
+    """The `[idx]` of each transcript row, and the rows' postings."""
+    rows = parse_transcript_block(block)
+    return [idx for idx, _, _, _ in rows], _postings(text for _, _, _, text in rows)
+
+
+def _memory_index(listing: str) -> tuple[list[str], _Postings]:
+    """The summary of each episode line, and the summaries' postings."""
+    summaries = [ep["summary"] for ep in parse_episode_lines(listing)]
+    return summaries, _postings(summaries)
 
 
 def _has_conflict_token(summary: str) -> bool:
@@ -67,6 +132,9 @@ class ReferenceBackend:
 
     def __init__(self, multimodal: bool = True, name: str = "reference"):
         self.profile = BackendProfile(name=name, multimodal=multimodal, deterministic=True)
+        # per thread: the index of the last transcript block and episode listing
+        # read, so threads sharing one backend do not evict each other's
+        self._slots = threading.local()
 
     # -- dispatch ---------------------------------------------------------
 
@@ -165,59 +233,55 @@ class ReferenceBackend:
 
     def _perceive(self, request: ChatRequest, payload: str) -> str:
         top_k = int(request.context.get("top_k", 5))
-        query, options = parse_question_block(extract_block(payload, "question") or "")
-        needle = set(content_tokens(query))
-        for _, option_text in options:
-            needle.update(content_tokens(option_text))
-        rows = parse_transcript_block(extract_block(payload, "transcript") or "")
-        scored = []
-        for idx, _, _, text in rows:
-            score = len(needle & set(content_tokens(text)))
-            if score > 0:
-                scored.append((-score, idx))
-        scored.sort()
-        hits = sorted(idx for _, idx in scored[:top_k])
+        needle = _needle(*parse_question_block(extract_block(payload, "question") or ""))
+        idx, postings = self._cached(
+            "transcript", extract_block(payload, "transcript") or "", _transcript_index
+        )
+        scored = sorted((-score, idx[pos]) for pos, score in _overlaps(needle, postings).items())
+        hits = sorted(i for _, i in scored[:top_k])
         return json.dumps({"line_indices": hits})
 
     def _act(self, request: ChatRequest, payload: str) -> str:
         query, options = parse_question_block(extract_block(payload, "question") or "")
+        # the excerpt changes with every question, so it is parsed directly
         rows = parse_transcript_block(extract_block(payload, "transcript") or "")
-        summaries = [
-            ep["summary"] for ep in parse_episode_lines(extract_block(payload, "memory") or "")
-        ]
-        pool: set[str] = set()
-        for _, _, _, text in rows:
-            pool.update(content_tokens(text))
-        for summary in summaries:
-            pool.update(content_tokens(summary))
+        row_postings = _postings(text for _, _, _, text in rows)
+        listing = "\n".join(
+            line
+            for line in (extract_block(payload, "memory") or "").split("\n")
+            if line.startswith("「")  # the only lines parse_episode_lines reads
+        )
+        summaries, summary_postings = self._cached("memory", listing, _memory_index)
         scores = {
-            label: float(len(pool & set(content_tokens(option_text))))
+            label: float(
+                sum(
+                    tok in row_postings or tok in summary_postings
+                    for tok in set(content_tokens(option_text))
+                )
+            )
             for label, option_text in options
         }
         if not scores:
             return "Answer: (?)"
         best = pick_best_option(scores)
-        needle = set(content_tokens(query))
-        for _, option_text in options:
-            needle.update(content_tokens(option_text))
+        needle = _needle(query, options)
         evidence = ""
         if rows:
-            line_scores = [
-                (-len(needle & set(content_tokens(text))), idx, text)
-                for idx, _, _, text in rows
-            ]
-            line_scores.sort(key=lambda item: (item[0], item[1]))
-            evidence = line_scores[0][2]
+            evidence = rows[_best(needle, row_postings, [idx for idx, _, _, _ in rows])][3]
         elif summaries:
-            summary_scores = [
-                (-len(needle & set(content_tokens(summary))), i, summary)
-                for i, summary in enumerate(summaries)
-            ]
-            summary_scores.sort(key=lambda item: (item[0], item[1]))
-            evidence = summary_scores[0][2]
-        if not evidence:
-            evidence = "No textual evidence available."
-        return f"Answer: ({best})\nEvidence: {evidence}"
+            evidence = summaries[_best(needle, summary_postings, range(len(summaries)))]
+        return f"Answer: ({best})\nEvidence: {evidence or 'No textual evidence available.'}"
+
+    def _cached(self, kind: str, block: str, build: Callable[[str], tuple]) -> tuple:
+        """`build(block)`, kept in this thread's `kind` slot under the sha256
+        of `block` and reused while the next request's block hashes the same."""
+        key = hashlib.sha256(block.encode("utf-8")).digest()
+        slot = getattr(self._slots, kind, None)
+        if slot is None or slot[0] != key:
+            setattr(self._slots, kind, None)  # drop the stale index before building
+            slot = (key, build(block))
+            setattr(self._slots, kind, slot)
+        return slot[1]
 
     def _reflect(self, request: ChatRequest, payload: str) -> str:
         answer_id = str(request.context.get("answer_id", "?"))

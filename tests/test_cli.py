@@ -339,6 +339,21 @@ class TestUsage:
         code = run_cli("--config", "bogus_key=1", "eval", MANIFEST)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "override", ["top_k=-1", "top_k=0", "pad_s=-1", "merge_window_s=-0.5", "max_frames=0"]
+    )
+    def test_out_of_range_perception_value_is_usage_error(self, override, capsys):
+        code = run_cli("--config", override, "eval", MANIFEST)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: {override.split('=')[0]} must be" in err
+
+    def test_out_of_range_perception_value_in_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"perception": {"top_k": 0}}))
+        assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
+        assert "config error: top_k must be" in capsys.readouterr().err
+
     def test_ask_without_question_is_usage_error(self):
         code = run_cli("--reference", "ask", "--subtitles", VID01, "--build-on-demand")
         assert code == EXIT_USAGE

@@ -24,6 +24,23 @@ from gcagent.perception import (
 from conftest import make_transcript
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("top_k", 0), ("top_k", -1), ("top_k", 2.5), ("top_k", True),
+        ("pad_s", -0.5), ("pad_s", float("nan")), ("merge_window_s", -1),
+        ("max_frames", 0), ("max_frames", "8"),
+    ],
+)
+def test_perception_params_reject_out_of_range_values(field, value):
+    with pytest.raises(InvariantViolation, match=f"^{field} must be"):
+        PerceptionParams(**{field: value})
+
+
+def test_perception_params_accept_their_bounds():
+    PerceptionParams(top_k=1, pad_s=0, merge_window_s=0.0, max_frames=1)
+
+
 class TestUniformClip:
     def test_midpoints_over_64s(self):
         clip = uniform_clip(64.0, 32)

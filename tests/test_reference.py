@@ -1,16 +1,24 @@
 from __future__ import annotations
 
 import json
+import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gcagent.reference as reference
 from gcagent.backend import ChatRequest, TextPart
 from gcagent.memory import CONFLICT_LEXICON
 from gcagent.prompts import (
     format_episode_line,
+    format_note_line,
+    format_options,
     format_speech_line,
+    parse_episode_lines,
+    parse_question_block,
     parse_transcript_block,
+    rendered_transcript_block,
     wrap_block,
 )
 from gcagent.reference import ReferenceBackend
@@ -163,3 +171,262 @@ def test_tokenizers_trim_each_token_then_lower_it(text):
     trimmed = [strip_edges(raw).lower() for raw in text.split()]
     assert raw_tokens(text) == [tok for tok in trimmed if tok]
     assert content_tokens(text) == [tok for tok in trimmed if tok and tok not in STOPWORDS]
+
+
+# --- perception and action: the per-thread index against the per-row scan -------
+
+# few words, so lines repeat tokens, tie often and share tokens with options;
+# "zebra" and "quartz" appear only in options, so some options overlap nothing
+TEXT_WORDS = ("the", "of", "crimson", "Crimson!", "pigment", "palette", "river", "stone.", "event")
+OPTION_WORDS = TEXT_WORDS + ("zebra", "quartz")
+MALFORMED_ROWS = (
+    "[x] 0.00-1.00: crimson river",
+    "crimson pigment without a timestamp",
+    "[3] 1.00: river stone",
+    "[4] 0.00-1.00 river without a colon",
+)
+ROLES = ("introduction", "development", "conflict", "resolution")
+
+_text = st.lists(st.sampled_from(TEXT_WORDS), max_size=6).map(" ".join)
+
+
+@st.composite
+def transcript_rows(draw):
+    """Lines of a transcript block: duplicate and out-of-order `[idx]`,
+    empty texts and malformed lines included."""
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 7)) == 0:
+            rows.append(draw(st.sampled_from(MALFORMED_ROWS)))
+        else:
+            idx = draw(st.integers(1, 8))
+            rows.append(f"[{idx}] {idx:.2f}-{idx + 0.5:.2f}: {draw(_text)}")
+    return rows
+
+
+@st.composite
+def episode_listings(draw):
+    """Lines of a memory block: schematic (3-field) or narrative (5-field)
+    episode lines, reflection notes and malformed lines."""
+    narrative = draw(st.booleans())
+    lines = []
+    for eid in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(MALFORMED)))
+            continue
+        role = draw(st.sampled_from(ROLES)) if narrative else None
+        links = [("precedes", eid - 1)] if narrative and eid else None
+        lines.append(format_episode_line(eid, float(eid), eid + 1.0, draw(_text), role, links))
+        if kind == 1:
+            lines.append(format_note_line(2, "B", draw(_text)))
+    return lines
+
+
+@st.composite
+def questions(draw):
+    """(query, options): the query may hold only stopwords, so the needle
+    can be empty."""
+    words = st.lists(st.sampled_from(OPTION_WORDS), max_size=4).map(" ".join)
+    query = draw(words)
+    n = draw(st.integers(2, 4))
+    options = [(chr(ord("A") + i), draw(words) or "zebra") for i in range(n)]
+    return query, options
+
+
+def _question_block(query, options):
+    return wrap_block("question", f"Question: {query}\nOptions:\n{format_options(options)}")
+
+
+def _request(stage, question, rows, listing, **context):
+    query, options = question
+    blocks = {
+        "question": _question_block(query, options),
+        "memory": wrap_block("memory", "\n".join(listing)),
+        "transcript": rendered_transcript_block(rows),
+    }
+    order = ("question", "memory", "transcript")
+    if stage == "action":
+        order = ("memory", "transcript", "question")  # assemble_evidence's order
+    return ChatRequest(
+        system="s",
+        user_parts=tuple(TextPart(blocks[name]) for name in order),
+        context={"stage": stage, **context},
+    )
+
+
+def _needle_oracle(query, options):
+    needle = set(content_tokens(query))
+    for _, option_text in options:
+        needle.update(content_tokens(option_text))
+    return needle
+
+
+def _perceive_oracle(question, rows, top_k):
+    """Every row scored on its own, as before the index."""
+    needle = _needle_oracle(*question)
+    scored = []
+    for idx, _, _, text in parse_transcript_block(rendered_transcript_block(rows)):
+        score = len(needle & set(content_tokens(text)))
+        if score > 0:
+            scored.append((-score, idx))
+    scored.sort()
+    return json.dumps({"line_indices": sorted(idx for _, idx in scored[:top_k])})
+
+
+def _act_oracle(question, rows, listing):
+    """Every row and summary scored on its own, as before the index."""
+    query, options = question
+    parsed = parse_transcript_block(rendered_transcript_block(rows))
+    summaries = [ep["summary"] for ep in parse_episode_lines("\n".join(listing))]
+    pool = set()
+    for _, _, _, text in parsed:
+        pool.update(content_tokens(text))
+    for summary in summaries:
+        pool.update(content_tokens(summary))
+    scores = {label: len(pool & set(content_tokens(text))) for label, text in options}
+    best = min(scores, key=lambda label: (-scores[label], label))
+    needle = _needle_oracle(query, options)
+    evidence = ""
+    if parsed:
+        evidence = sorted(
+            ((-len(needle & set(content_tokens(text))), idx, text) for idx, _, _, text in parsed),
+            key=lambda item: (item[0], item[1]),
+        )[0][2]
+    elif summaries:
+        evidence = sorted(
+            ((-len(needle & set(content_tokens(s))), i, s) for i, s in enumerate(summaries)),
+            key=lambda item: (item[0], item[1]),
+        )[0][2]
+    return f"Answer: ({best})\nEvidence: {evidence or 'No textual evidence available.'}"
+
+
+SHARED = ReferenceBackend()  # reused across examples: its index must never go stale
+
+
+@settings(max_examples=250, deadline=None)
+@given(question=questions(), rows=transcript_rows(), listing=episode_listings(),
+       top_k=st.integers(1, 4))
+def test_perception_matches_per_row_scan(question, rows, listing, top_k):
+    request = _request("perception", question, rows, listing, top_k=top_k)
+    expected = _perceive_oracle(question, rows, top_k)
+    assert ReferenceBackend().complete(request).text == expected
+    assert SHARED.complete(request).text == expected
+
+
+@settings(max_examples=250, deadline=None)
+@given(question=questions(), rows=transcript_rows(), listing=episode_listings())
+def test_action_matches_per_row_scan(question, rows, listing):
+    request = _request("action", question, rows, listing)
+    expected = _act_oracle(question, rows, listing)
+    assert ReferenceBackend().complete(request).text == expected
+    assert SHARED.complete(request).text == expected
+
+
+@pytest.mark.parametrize(
+    "summaries, option, evidence",
+    [
+        (["river stone", "crimson pigment", "crimson"], "crimson pigment", "crimson pigment"),
+        (["crimson", "pigment", "crimson palette"], "crimson", "crimson"),  # tie: lowest position
+        (["river stone", "palette"], "zebra", "river stone"),  # nothing overlaps: position 0
+        (["", "river"], "zebra", "No textual evidence available."),  # empty first summary
+        ([], "zebra", "No textual evidence available."),
+    ],
+)
+@pytest.mark.parametrize("narrative", [False, True])
+def test_action_without_rows_quotes_best_summary(summaries, option, evidence, narrative):
+    listing = [
+        format_episode_line(i, 0.0, 1.0, s, "development" if narrative else None)
+        for i, s in enumerate(summaries)
+    ]
+    request = _request("action", ("", [("A", option), ("B", "quartz")]), [], listing)
+    assert ReferenceBackend().complete(request).text.split("\n")[1] == f"Evidence: {evidence}"
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Counts the reference backend's parses of each block kind."""
+    calls = {"transcript": 0, "memory": 0}
+
+    def counting(kind, parse):
+        def wrapper(inner):
+            calls[kind] += 1
+            return parse(inner)
+        return wrapper
+
+    monkeypatch.setattr(reference, "parse_transcript_block",
+                        counting("transcript", parse_transcript_block))
+    monkeypatch.setattr(reference, "parse_episode_lines",
+                        counting("memory", parse_episode_lines))
+    return calls
+
+
+QUESTION = ("which crimson stone", [("A", "river pigment"), ("B", "palette stone")])
+
+
+def test_alternating_transcripts_use_the_right_index():
+    backend = ReferenceBackend()
+    videos = [["[1] 0.00-1.00: crimson river", "[2] 1.00-2.00: stone"],
+              ["[1] 0.00-1.00: palette", "[2] 1.00-2.00: crimson stone", "[3] 2.00-3.00: river"]]
+    for _ in range(3):
+        for rows in videos:
+            request = _request("perception", QUESTION, rows, [], top_k=1)
+            assert backend.complete(request).text == ReferenceBackend().complete(request).text
+            assert backend.complete(request).text == _perceive_oracle(QUESTION, rows, 1)
+
+
+def _listing(summaries, notes=0):
+    lines = []
+    for i, summary in enumerate(summaries):
+        lines.append(format_episode_line(i, float(i), i + 1.0, summary, "development", []))
+        lines += [format_note_line(v + 2, "A", f"note {v} crimson") for v in range(notes if i == 0 else 0)]
+    return lines
+
+
+def test_note_lines_reuse_the_memory_index(parse_calls):
+    backend = ReferenceBackend()
+    summaries = ["river stone", "crimson pigment"]
+    responses = [
+        backend.complete(_request("action", QUESTION, [], _listing(summaries, notes))).text
+        for notes in range(4)
+    ]
+    assert parse_calls["memory"] == 1
+    assert responses == [
+        _act_oracle(QUESTION, [], _listing(summaries, notes)) for notes in range(4)
+    ]
+
+
+def test_changed_episode_line_rebuilds_the_memory_index(parse_calls):
+    backend = ReferenceBackend()
+    first = _request("action", QUESTION, [], _listing(["river stone", "crimson pigment palette"]))
+    second = _request("action", QUESTION, [], _listing(["river stone", "palette"]))
+    assert backend.complete(first).text.endswith("Evidence: crimson pigment palette")
+    assert backend.complete(second).text.endswith("Evidence: river stone")
+    assert parse_calls["memory"] == 2
+    assert backend.complete(second).text == ReferenceBackend().complete(second).text
+
+
+def test_threads_sharing_a_backend_keep_their_own_index(parse_calls):
+    backend = ReferenceBackend()
+    videos = [["[1] 0.00-1.00: crimson river", "[2] 1.00-2.00: stone"],
+              ["[1] 0.00-1.00: palette", "[2] 1.00-2.00: crimson stone"]]
+    rounds = 5
+    turns = [threading.Semaphore(1), threading.Semaphore(0)]  # strict alternation
+    answers: list[list[str]] = [[], []]
+
+    def worker(me):
+        request = _request("perception", QUESTION, videos[me], [], top_k=1)
+        for _ in range(rounds):
+            assert turns[me].acquire(timeout=10)
+            answers[me].append(backend.complete(request).text)
+            turns[1 - me].release()
+
+    threads = [threading.Thread(target=worker, args=(me,)) for me in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+    assert parse_calls["transcript"] == 2  # one index per thread, never evicted
+    for me in (0, 1):
+        assert answers[me] == [_perceive_oracle(QUESTION, videos[me], 1)] * rounds

@@ -163,10 +163,11 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
                 raise ConfigError(
                     f"reference mode forbids an endpoint for the {role} role"
                 )
-    try:
-        PerceptionParams(**cfg["perception"])
-    except (InvariantViolation, TypeError) as exc:  # TypeError: an unknown field
-        raise ConfigError(str(exc)) from None
+    for section, params in (("perception", PerceptionParams), ("memory", MemoryParams)):
+        try:
+            params(**cfg[section])
+        except (InvariantViolation, TypeError) as exc:  # TypeError: an unknown field
+            raise ConfigError(str(exc)) from None
     return cfg
 
 

@@ -41,6 +41,15 @@ class MalformedRecord(ParseError):
         super().__init__(f"line {line_number}: {reason}")
 
 
+class UnreadableFile(ParseError):
+    """An input file could not be read: missing, a directory, no access."""
+
+    def __init__(self, path: str, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
 class InvariantViolation(GcagentError):
     """A value was constructed in a state its type forbids."""
 

@@ -266,10 +266,10 @@ def answer(
 ) -> Outcome:
     """Perceive, assemble, act and, when `config.reflect` is set, reflect
     and commit the new memory version through the session. The session
-    renders the memory block for all stages and counts its text in
-    `memory_tokens`. With `dry_run` the request is assembled but neither
-    acted on nor reflected (`result` is None). Stage failures carry the
-    stage name."""
+    renders the memory block for perception and assembly and counts its
+    text in `memory_tokens`; reflection renders only its target episode.
+    With `dry_run` the request is assembled but neither acted on nor
+    reflected (`result` is None). Stage failures carry the stage name."""
     transcript, memory = session.transcript, session.memory
     block, memory_tokens = session.memory_block()
     perception = _staged(
@@ -312,7 +312,6 @@ def answer(
             backends.manager,
             config.memory_params,
             config.templates,
-            memory_block=block,
         )
         session.commit(updated)
     return outcome

@@ -43,7 +43,7 @@ from .prompts import (
     wrap_block,
 )
 from .text import truncate_tokens
-from .transcript import Transcript, count_tokens, load_transcript, transcript_digest
+from .transcript import Transcript, count_tokens, load_transcript, read_source, transcript_digest
 
 NARRATIVE_ROLES = ("introduction", "development", "conflict", "resolution", "other")
 LINK_RELATIONS = ("precedes", "causes", "refers_back")
@@ -52,12 +52,34 @@ LINK_RELATIONS = ("precedes", "causes", "refers_back")
 CONFLICT_LEXICON = frozenset({"but", "however", "problem", "fail", "wrong"})
 
 
+def check_minimums(params, fields) -> None:
+    """Raise `InvariantViolation` unless every `(name, types, low)` field of
+    `params` is an instance of `types`, not a bool, and at least `low`."""
+    for name, types, low in fields:
+        value = getattr(params, name)
+        # `not value >= low` also rejects NaN
+        if isinstance(value, bool) or not isinstance(value, types) or not value >= low:
+            kind = "an integer" if types is int else "a number"
+            raise InvariantViolation(f"{name} must be {kind} >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MemoryParams:
     gap_threshold_s: float = 5.0
     max_lines: int = 20
     summary_budget: int = 30
     refers_back_overlap: int = 3
+
+    def __post_init__(self):
+        check_minimums(
+            self,
+            (
+                ("gap_threshold_s", (int, float), 0),
+                ("max_lines", int, 1),
+                ("summary_budget", int, 1),
+                ("refers_back_overlap", int, 1),
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -526,17 +548,19 @@ def reflect(
     backend: Backend,
     params: MemoryParams = MemoryParams(),
     templates: Mapping[str, PromptTemplate] | None = None,
-    memory_block: str | None = None,
 ) -> EpisodicMemory:
     """Append one reflection note to the episode whose span overlaps the
-    perception spans most (nearest episode when nothing overlaps). Returns a
-    new memory with version + 1; everything pre-existing is untouched.
-    `memory_block` is `wrap_block("memory", memory_text(memory))` when the
-    caller has it."""
+    perception spans most (nearest episode when nothing overlaps). The
+    prompt's `{memory}` is that episode alone, its narrative line and its
+    notes in a `<memory>` block, so the prompt grows with one episode, not
+    with the memory. Returns a new memory with version + 1 in which only the
+    target episode is a new object; everything pre-existing is untouched."""
     if not evidence.strip():
         raise InvariantViolation("reflection requires non-empty evidence")
-    if memory_block is None:
-        memory_block = wrap_block("memory", memory_text(memory))
+    if not memory.episodes:
+        raise InvariantViolation("reflection requires a memory with at least one episode")
+    target = _target_episode(memory, perception_spans)
+    episode = memory.episodes[target]
     body = render_template(
         lookup_template(templates, "reflection"),
         {
@@ -544,7 +568,7 @@ def reflect(
             "options": format_options(options),
             "answer": answer_id,
             "evidence": evidence,
-            "memory": memory_block,
+            "memory": wrap_block("memory", _episode_text(episode)),
         },
     )
     request = ChatRequest(
@@ -571,11 +595,8 @@ def reflect(
         summary=" ".join(summary.split()),
         created_version=new_version,
     )
-    target = _target_episode(memory, perception_spans)
-    episodes = tuple(
-        replace(ep, reflections=ep.reflections + (note,)) if ep.id == target else ep
-        for ep in memory.episodes
-    )
+    noted = replace(episode, reflections=episode.reflections + (note,))
+    episodes = memory.episodes[:target] + (noted,) + memory.episodes[target + 1 :]
     return replace(memory, episodes=episodes, version=new_version)
 
 
@@ -897,8 +918,7 @@ class MemoryStore:
         from `source` and parsed again only when the bytes changed. Bring
         its memory up to date with `get_or_build` before answering."""
         session = self._session(video_id)
-        with open(source, "rb") as fh:
-            data = fh.read()
+        data = read_source(source)
         digest = _content_hash(data)
         key = (source, video_duration_s)
         if session.transcript is None or (session.source, session.source_hash) != (key, digest):

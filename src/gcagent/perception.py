@@ -29,7 +29,7 @@ from .errors import (
     NonPositiveDuration,
     NoRelevantContentWarning,
 )
-from .memory import EpisodicMemory, memory_text
+from .memory import EpisodicMemory, check_minimums, memory_text
 from .prompts import (
     SYSTEM_MEMORY_MANAGER,
     format_options,
@@ -70,17 +70,15 @@ class PerceptionParams:
     max_frames: int = DEFAULT_MAX_FRAMES
 
     def __post_init__(self):
-        for name, types, low in (
-            ("top_k", int, 1),
-            ("pad_s", (int, float), 0),
-            ("merge_window_s", (int, float), 0),
-            ("max_frames", int, 1),
-        ):
-            value = getattr(self, name)
-            # `not value >= low` also rejects NaN
-            if isinstance(value, bool) or not isinstance(value, types) or not value >= low:
-                kind = "an integer" if types is int else "a number"
-                raise InvariantViolation(f"{name} must be {kind} >= {low}, got {value!r}")
+        check_minimums(
+            self,
+            (
+                ("top_k", int, 1),
+                ("pad_s", (int, float), 0),
+                ("merge_window_s", (int, float), 0),
+                ("max_frames", int, 1),
+            ),
+        )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .errors import (
     MalformedCue,
     MalformedRecord,
     MissingHeader,
+    UnreadableFile,
 )
 
 SOURCE_SUBTITLE = "subtitle"
@@ -333,14 +334,23 @@ def serialize_caption_doc(transcript: Transcript) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
+def read_source(path: str) -> bytes:
+    """A transcript file's bytes; a file that cannot be read raises
+    `UnreadableFile` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnreadableFile(path, exc.strerror or str(exc)) from None
+
+
 def load_transcript(
     path: str, video_duration_s: float | None = None, data: bytes | None = None
 ) -> Transcript:
     """Dispatch on file extension: .srt, .vtt, or caption JSONL. `data` is
     the file's content when the caller has read it already."""
     if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = read_source(path)
     lower = path.lower()
     if lower.endswith(".srt"):
         parsed = parse_srt(data)

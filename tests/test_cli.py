@@ -72,6 +72,19 @@ class TestAsk:
         assert "Spans: 8.00-17.00" in out
         assert "Memory version: 2" in out
 
+    def test_custom_reflection_template_with_memory_placeholder(self, tmp_path, capsys):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "reflection.txt").write_text(
+            "Episode:\n{memory}\nQ: {query} -> {answer}\n<evidence>\n{evidence}\n</evidence>\n"
+        )
+        code = run_cli(*self._ask_args(tmp_path, "--config", f"templates_dir={templates}"))
+        assert code == EXIT_OK
+        assert "Memory version: 2" in capsys.readouterr().out
+        saved = json.loads((tmp_path / "vid01.memory.json").read_text())
+        notes = [n["summary"] for ep in saved["episodes"] for n in ep["reflections"]]
+        assert notes == ["(B) they throw food into a big bowl to mix"]
+
     def test_repeat_is_deterministic(self, tmp_path, capsys):
         run_cli(*self._ask_args(tmp_path, "--no-reflect"))
         first = capsys.readouterr().out
@@ -321,6 +334,23 @@ class TestStats:
         assert "30-60min" in out
 
 
+class TestUnreadableTranscript:
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["build-memory", "ask", "stats"])
+    def test_exits_1_naming_the_path(self, tmp_path, capsys, kind, command):
+        path = tmp_path / "video.srt"
+        if kind == "directory":
+            path.mkdir()
+        argv = {
+            "build-memory": ("build-memory", str(path)),
+            "ask": ("ask", "--subtitles", str(path), "--build-on-demand",
+                    "--question", "q", "--options", "A: x | B: y"),
+            "stats": ("stats", "--subtitles", str(path), "--memory", str(tmp_path / "m.json")),
+        }[command]
+        assert run_cli("--reference", *argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"gcagent: input error: {path}: ")
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run_cli("frobnicate") == EXIT_USAGE
@@ -353,6 +383,31 @@ class TestUsage:
         config.write_text(json.dumps({"perception": {"top_k": 0}}))
         assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
         assert "config error: top_k must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "refers_back_overlap=abc",
+            "refers_back_overlap=0",
+            "refers_back_overlap=-1",
+            "max_lines=0",
+            "summary_budget=2.5",
+            "gap_threshold_s=-1",
+            "gap_threshold_s=nan",
+        ],
+    )
+    def test_out_of_range_memory_value_is_usage_error(self, override, capsys):
+        code = run_cli("--config", override, "eval", MANIFEST)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: {override.split('=')[0]} must be" in err
+
+    def test_unknown_memory_field_in_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"memory": {"bogus": 1}}))
+        assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error:" in err and "bogus" in err
 
     def test_ask_without_question_is_usage_error(self):
         code = run_cli("--reference", "ask", "--subtitles", VID01, "--build-on-demand")

@@ -222,6 +222,33 @@ class TestEvaluate:
             evaluate(path, RunConfig(), backends, tmp_path / "mem")
         assert "q-broken" in str(exc.value)
 
+    def test_source_unreadable_after_the_check_is_an_item_error(self, tmp_path, backends):
+        # a directory passes the manifest's exists() check and then fails the
+        # read, as a file deleted between the two would
+        (tmp_path / "v1.srt").mkdir()
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            json.dumps(
+                {
+                    "question_id": "q1",
+                    "video_id": "v1",
+                    "duration_s": 10.0,
+                    "split": "short",
+                    "category": "c",
+                    "query": {"text": "q", "options": [
+                        {"label": "A", "text": "x"}, {"label": "B", "text": "y"}]},
+                    "gold": "A",
+                    "subtitle_path": "v1.srt",
+                }
+            )
+            + "\n"
+        )
+        report = evaluate(path, RunConfig(), backends, tmp_path / "mem")
+        (record,) = report.items
+        assert record.stage == "load"
+        assert record.error.startswith(f"{tmp_path / 'v1.srt'}: ")
+        assert report.counts["errors"] == 1
+
     def test_per_category_and_split_accounting(self, tmp_path, backends):
         report = evaluate(MANIFEST, RunConfig(), backends, tmp_path / "mem")
         total = sum(e["total"] for e in report.accuracy["by_category"].values())

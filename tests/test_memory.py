@@ -8,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcagent.backend import PromptTemplate
 from gcagent.errors import (
     BackendFailure,
     DegenerateOutputWarning,
     EmptySummary,
     EmptyTranscript,
     InvalidLinkWarning,
+    InvariantViolation,
     SchemaViolation,
+    UnreadableFile,
 )
 from gcagent.memory import (
     LINK_RELATIONS,
@@ -26,6 +29,7 @@ from gcagent.memory import (
     MemoryParams,
     MemoryStore,
     ReflectionNote,
+    _episode_text,
     _write_atomic,
     abstract_schema,
     build_memory,
@@ -36,7 +40,8 @@ from gcagent.memory import (
     save_memory,
     segment_events,
 )
-from gcagent.reference import ScriptedBackend
+from gcagent.prompts import extract_block, wrap_block
+from gcagent.reference import ReferenceBackend, ScriptedBackend
 from gcagent.transcript import transcript_digest
 
 from conftest import make_transcript
@@ -287,6 +292,69 @@ class TestReflect:
             )
         assert cooking_memory.version == 1
 
+    def test_custom_template_memory_placeholder_renders(self, cooking_memory):
+        template = PromptTemplate(
+            id="reflection",
+            body="Notes so far:\n{memory}\nQ: {query}\n<evidence>\n{evidence}\n</evidence>",
+        )
+        backend = RecordingBackend()
+        updated = reflect(
+            "why the bowl", (("A", "x"), ("B", "y")), "B", "they mix food",
+            cooking_memory, [(10.5, 11.5)], backend, templates={"reflection": template},
+        )
+        (request,) = backend.requests
+        block = wrap_block("memory", _episode_text(cooking_memory.episodes[1]))
+        assert request.text_payload().startswith(f"Notes so far:\n{block}\nQ: why the bowl\n")
+        assert updated.episodes[1].reflections[-1].summary == "(B) they mix food"
+
+    @pytest.mark.parametrize("perception", [[], [(0.0, 1.0)]])
+    def test_memory_without_episodes_is_rejected_before_the_backend(self, perception):
+        empty = EpisodicMemory(episodes=(), version=1, source_digest="d")
+        backend = RecordingBackend()
+        with pytest.raises(InvariantViolation, match="at least one episode"):
+            reflect("q", (("A", "x"), ("B", "y")), "A", "ev", empty, perception, backend)
+        assert backend.requests == []
+
+
+class RecordingBackend:
+    """The reference backend, keeping every request it was sent."""
+
+    def __init__(self):
+        self._inner = ReferenceBackend()
+        self.profile = self._inner.profile
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return self._inner.complete(request)
+
+
+class TestMemoryParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("refers_back_overlap", 0),
+            ("refers_back_overlap", -3),
+            ("refers_back_overlap", "abc"),
+            ("refers_back_overlap", 2.0),
+            ("refers_back_overlap", True),
+            ("max_lines", 0),
+            ("max_lines", None),
+            ("summary_budget", 0),
+            ("summary_budget", 1.5),
+            ("gap_threshold_s", float("nan")),
+            ("gap_threshold_s", -0.5),
+            ("gap_threshold_s", "5"),
+        ],
+    )
+    def test_bad_value_is_rejected(self, field, value):
+        with pytest.raises(InvariantViolation, match=f"{field} must be"):
+            MemoryParams(**{field: value})
+
+    def test_smallest_values_are_accepted(self):
+        params = MemoryParams(gap_threshold_s=0, max_lines=1, summary_budget=1, refers_back_overlap=1)
+        assert params.refers_back_overlap == 1
+
 
 class TestPersistence:
     def test_round_trip(self, cooking_memory, reference):
@@ -472,6 +540,14 @@ def test_save_memory_matches_json_dumps_randomized(memory):
 
 
 class TestMemoryStore:
+    @pytest.mark.parametrize("name", ["missing.srt", "folder.srt"])
+    def test_unreadable_source_is_a_typed_error(self, tmp_path, name):
+        (tmp_path / "folder.srt").mkdir()
+        source = str(tmp_path / name)
+        with pytest.raises(UnreadableFile) as exc:
+            MemoryStore(tmp_path / "mem").session("vid", source)
+        assert exc.value.path == source
+
     def test_build_then_cache_hit(self, tmp_path, cooking_transcript, reference):
         store = MemoryStore(tmp_path)
         first = store.get_or_build("vid", cooking_transcript, reference)
@@ -596,6 +672,45 @@ def test_target_episode_matches_scan(spans, sort_starts, perception):
         source_digest="d",
     )
     assert _target_episode(memory, perception) == _scan_target(memory, perception)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spans=_episode_spans,
+    noted=st.sets(st.integers(0, 11)),
+    perception=st.lists(st.tuples(_times, _times).map(sorted).map(tuple), max_size=5),
+)
+def test_reflection_prompt_carries_only_the_target_episode(spans, noted, perception):
+    """The `<memory>` block is the target episode's text alone, and the note
+    lands where the whole-memory scan puts it, nearest-gap and nan spans
+    included."""
+    note = ReflectionNote(query="q0", answer_id="A", summary="old note", created_version=1)
+    memory = EpisodicMemory(
+        episodes=tuple(
+            _episode(i, span, reflections=(note,) if i in noted else ())
+            for i, span in enumerate(spans)
+        ),
+        version=1,
+        source_digest="d",
+    )
+    backend = RecordingBackend()
+    updated = reflect(
+        "q", (("A", "x"), ("B", "y")), "B", "some evidence", memory, perception, backend
+    )
+    target = _scan_target(memory, perception)
+    (request,) = backend.requests
+    block = extract_block(request.text_payload(), "memory")
+    assert block == _episode_text(memory.episodes[target])
+    episode_lines = [line for line in block.split("\n") if line.startswith("「")]
+    assert episode_lines == [_episode_text(memory.episodes[target]).split("\n")[0]]
+    assert episode_lines[0].startswith(f"「{target} | ")
+    for i, (before, after) in enumerate(zip(memory.episodes, updated.episodes)):
+        if i == target:
+            assert after.reflections == before.reflections + (
+                ReflectionNote("q", "B", "(B) some evidence", 2),
+            )
+        else:
+            assert after is before
 
 
 @pytest.mark.parametrize(

@@ -189,9 +189,10 @@ def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, mo
             episodes = len(load_memory(store.path("vid01").read_bytes()).episodes)
             assert episodes > 1
         # every episode once for the first question (the build's write and
-        # the first memory block), then the one reflected episode per question
+        # the first memory block), then the one reflected episode per
+        # question; reflection's prompt also renders its target episode
         assert len(json_renders) == episodes + k
-        assert len(text_renders) == episodes + k
+        assert len(text_renders) == episodes + 2 * k
     assert len(parses) == 1
     assert len(loads) == 0
     assert len(texts) == len(saves) == 0

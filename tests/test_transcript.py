@@ -11,10 +11,13 @@ from gcagent.errors import (
     MalformedCue,
     MalformedRecord,
     MissingHeader,
+    ParseError,
+    UnreadableFile,
 )
 from gcagent.transcript import (
     Transcript,
     count_tokens,
+    load_transcript,
     parse_caption_doc,
     parse_srt,
     parse_vtt,
@@ -214,3 +217,15 @@ class TestInvariants:
         longer = cooking_transcript.with_duration(99.0)
         assert longer.video_duration_s == 99.0
         assert cooking_transcript.video_duration_s == 20.0
+
+
+class TestLoadTranscript:
+    @pytest.mark.parametrize("name", ["missing.srt", "folder.srt"])
+    def test_unreadable_file_is_a_parse_error_naming_the_path(self, tmp_path, name):
+        (tmp_path / "folder.srt").mkdir()
+        path = str(tmp_path / name)
+        with pytest.raises(UnreadableFile) as exc:
+            load_transcript(path)
+        assert isinstance(exc.value, ParseError)
+        assert exc.value.path == path
+        assert str(exc.value).startswith(f"{path}: ")

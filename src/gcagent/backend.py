@@ -34,6 +34,7 @@ from .errors import (
 API_KEY_ENV = "GCAGENT_API_KEY"
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_MAX_INFLIGHT = 4
+DEFAULT_MAX_OUTPUT_TOKENS = 1024
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ Part = Union[TextPart, ImagePart]
 class ChatRequest:
     system: str
     user_parts: tuple[Part, ...]
-    max_output_tokens: int = 1024
+    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
     temperature: float = 0.0
     # Routing metadata for deterministic backends (stage name, rule
     # parameters). Never serialized onto the wire.

@@ -41,8 +41,8 @@ from .harness import (
     _item_transcript,
     _staged,
     answer,
+    bucket_token_stats,
     compute_token_stats,
-    duration_bucket,
     evaluate,
     load_manifest,
     render_report_table,
@@ -60,7 +60,7 @@ from .memory import (
 from .perception import PerceptionParams, Query
 from .reasoning import EvidenceConfig
 from .reference import ReferenceBackend
-from .transcript import load_transcript, transcript_digest
+from .transcript import load_transcript, read_source, transcript_digest
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -280,21 +280,18 @@ def cmd_build_memory(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _resolve_memory(args, cfg, transcript, backends, templates):
+def _resolve_memory(args, cfg, transcript, backends, templates, data: bytes | None):
     memory_path = Path(args.memory) if args.memory else None
-    digest = transcript_digest(transcript)
-    if memory_path and memory_path.exists():
-        memory = load_memory(memory_path.read_bytes())
-        if memory.source_digest == digest:
+    if data is not None:
+        memory = load_memory(data)
+        if memory.source_digest == transcript_digest(transcript):
             return memory, memory_path
         if not args.build_on_demand:
             raise SchemaViolation(
                 str(memory_path), "memory digest does not match the transcript"
             )
-    if not args.build_on_demand and memory_path is None:
+    if not args.build_on_demand:
         raise ConfigError("provide --memory FILE or --build-on-demand")
-    if not args.build_on_demand and memory_path is not None and not memory_path.exists():
-        raise ConfigError(f"memory file not found: {memory_path} (or use --build-on-demand)")
     params = MemoryParams(**cfg["memory"])
     memory = build_memory(transcript, backends.manager, params, templates)
     if memory_path:
@@ -304,10 +301,15 @@ def _resolve_memory(args, cfg, transcript, backends, templates):
 
 def cmd_ask(args, cfg: dict) -> int:
     transcript, _ = _transcript_from_args(args, cfg)
+    # read outside the memory stage, so an unreadable path is an input error;
+    # a missing file is left for --build-on-demand to build
+    data = None
+    if args.memory and (Path(args.memory).exists() or not args.build_on_demand):
+        data = read_source(args.memory)
     backends = _build_backends(cfg, force_reference=args.dry_run)
     config = dataclasses.replace(_run_config(cfg), reflect=not args.no_reflect)
     memory, memory_path = _staged(
-        "memory", _resolve_memory, args, cfg, transcript, backends, config.templates
+        "memory", _resolve_memory, args, cfg, transcript, backends, config.templates, data
     )
     session = VideoSession(transcript=transcript, memory=memory, path=memory_path)
 
@@ -385,36 +387,30 @@ def cmd_stats(args, cfg: dict) -> int:
         store = MemoryStore(args.memory_dir or cfg["memory_dir"])
         backends = _build_backends(cfg)
         params = MemoryParams(**cfg["memory"])
-        per_bucket: dict[str, list[tuple[int, int]]] = {}
-        seen: set[str] = set()
+        videos = {}
         for item in sorted(items, key=lambda it: it.question_id):
-            if item.video_id in seen:
+            if item.video_id in videos:
                 continue
-            seen.add(item.video_id)
             transcript = _item_transcript(item)
             memory = store.get_or_build(item.video_id, transcript, backends.manager, params)
-            per_bucket.setdefault(duration_bucket(item.duration_s), []).append(
-                (transcript.token_count, memory_token_count(memory))
+            videos[item.video_id] = (
+                item.duration_s, transcript.token_count, memory_token_count(memory)
             )
         rows = []
-        for bucket in ("0-2min", "4-15min", "30-60min", "other"):
-            pairs = per_bucket.get(bucket)
-            if not pairs:
-                continue
-            mean_t = sum(p[0] for p in pairs) / len(pairs)
-            mean_m = sum(p[1] for p in pairs) / len(pairs)
-            stats = compute_token_stats(mean_t, mean_m)
-            reduction = "n/a" if stats.reduction_pct is None else f"{stats.reduction_pct:.1f}%"
+        for bucket, stats in bucket_token_stats(videos.values()).items():
+            reduction = stats["reduction_pct"]
+            reduction = "n/a" if reduction is None else f"{reduction:.1f}%"
             rows.append(
-                f"{bucket:<9} videos={len(pairs)} transcript={mean_t:.1f} "
-                f"memory={mean_m:.1f} reduction={reduction}"
+                f"{bucket:<9} videos={stats['videos']} "
+                f"transcript={stats['transcript_tokens']:.1f} "
+                f"memory={stats['memory_tokens']:.1f} reduction={reduction}"
             )
         print("\n".join(rows) if rows else "no videos")
         return EXIT_OK
     transcript, _ = _transcript_from_args(args, cfg)
     if not args.memory:
         raise ConfigError("provide --memory FILE (or --manifest)")
-    memory = load_memory(Path(args.memory).read_bytes())
+    memory = load_memory(read_source(args.memory))
     t_tokens = transcript.token_count
     m_tokens = memory_token_count(memory)
     stats = compute_token_stats(t_tokens, m_tokens)

@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .backend import Backend, ChatRequest
 from .errors import GcagentError, ManifestError, StageError, UnparseableAnswer
@@ -79,6 +80,31 @@ def duration_bucket(duration_s: float) -> str:
         if lo <= duration_s <= hi:
             return name
     return "other"
+
+
+def bucket_token_stats(videos: Iterable[tuple[float, float, float]]) -> dict[str, dict]:
+    """Token stats per duration bucket of `videos`, given as `(duration_s,
+    transcript_tokens, memory_tokens)`: the mean token counts, the reduction
+    between the means rounded to 0.1 and the number of videos. Buckets come
+    in `_BUCKETS` order, then "other"; empty ones are left out."""
+    per_bucket: dict[str, list[tuple[float, float]]] = {}
+    for duration_s, transcript_tokens, memory_tokens in videos:
+        per_bucket.setdefault(duration_bucket(duration_s), []).append(
+            (transcript_tokens, memory_tokens)
+        )
+    out = {}
+    for bucket in (*(name for name, _, _ in _BUCKETS), "other"):
+        pairs = per_bucket.get(bucket)
+        if not pairs:
+            continue
+        mean_t = sum(p[0] for p in pairs) / len(pairs)
+        mean_m = sum(p[1] for p in pairs) / len(pairs)
+        doc = compute_token_stats(mean_t, mean_m).to_json_dict()
+        if doc["reduction_pct"] is not None:
+            doc["reduction_pct"] = round(doc["reduction_pct"], 1)
+        doc["videos"] = len(pairs)
+        out[bucket] = doc
+    return out
 
 
 @dataclass(frozen=True)
@@ -471,29 +497,13 @@ def evaluate(
         acc, c, t = _accuracy(cat_records, config.strict)
         by_category[category] = {"accuracy": acc, "correct": c, "total": t}
 
-    token_stats = {}
-    seen_videos: set[str] = set()
-    per_bucket: dict[str, list[tuple[float, float]]] = {}
+    videos = {}  # each video's first record without an error
     for record in records:
-        if record.error or record.video_id in seen_videos:
-            continue
-        seen_videos.add(record.video_id)
-        bucket = duration_bucket(record.duration_s)
-        per_bucket.setdefault(bucket, []).append(
-            (float(record.transcript_tokens), float(record.memory_tokens))
-        )
-    for bucket in ("0-2min", "4-15min", "30-60min", "other"):
-        pairs = per_bucket.get(bucket)
-        if not pairs:
-            continue
-        mean_t = sum(p[0] for p in pairs) / len(pairs)
-        mean_m = sum(p[1] for p in pairs) / len(pairs)
-        stats = compute_token_stats(mean_t, mean_m)
-        doc = stats.to_json_dict()
-        if doc["reduction_pct"] is not None:
-            doc["reduction_pct"] = round(doc["reduction_pct"], 1)
-        doc["videos"] = len(pairs)
-        token_stats[bucket] = doc
+        if not record.error:
+            videos.setdefault(
+                record.video_id,
+                (record.duration_s, record.transcript_tokens, record.memory_tokens),
+            )
 
     errors = sum(1 for r in records if r.error and not r.unparseable)
     unparseable = sum(1 for r in records if r.unparseable)
@@ -512,7 +522,7 @@ def evaluate(
             "errors": errors,
         },
         accuracy={"overall": overall, "by_split": by_split, "by_category": by_category},
-        token_stats=token_stats,
+        token_stats=bucket_token_stats(videos.values()),
         memory_versions={
             vid: max(r.memory_version for r in records if r.video_id == vid)
             for vid in sorted({r.video_id for r in records})

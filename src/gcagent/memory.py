@@ -6,6 +6,18 @@ unit (situation-level summary + participant entities), and narrative
 linking across units (roles and causal/temporal dependencies). Reflection
 appends a concise note about an answered query to the most relevant
 episode; it never rewrites existing content.
+
+Abstraction sends the units in batches of consecutive units, one
+`memory_abstraction` request per batch, as many units as
+`abstraction_batch_size` allows. The template's `{transcript}` holds the
+batch: a `<units>` block with one `ordinal: first-last` line per unit
+(ordinals count across the whole video, line numbers are transcript
+indices), then the batch's lines, each sent once, in one `<transcript>`
+block. The response is `{"units": [{"summary": ..., "entities": [...]},
+...]}`, one entry per listed unit in listing order; a missing, short or
+blank entry raises `EmptySummary` naming that unit's ordinal. A response
+that is not JSON at all (as when it was cut off at the output limit) is
+asked for again as two half batches, down to single units.
 """
 
 from __future__ import annotations
@@ -21,7 +33,15 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .backend import Backend, ChatRequest, PromptTemplate, TextPart, complete, render_template
+from .backend import (
+    DEFAULT_MAX_OUTPUT_TOKENS,
+    Backend,
+    ChatRequest,
+    PromptTemplate,
+    TextPart,
+    complete,
+    render_template,
+)
 from .errors import (
     BackendError,
     BackendFailure,
@@ -40,6 +60,7 @@ from .prompts import (
     format_speech_line,
     lookup_template,
     rendered_transcript_block,
+    units_block,
     wrap_block,
 )
 from .text import truncate_tokens
@@ -330,56 +351,104 @@ def _repair_units(proposal: list, n: int) -> tuple[list[tuple[int, int]], bool]:
     return fixed, repaired
 
 
+# Output tokens one unit's entry in an abstraction response may take besides
+# its summary words: the entry's JSON keys, quotes and brackets (18 when each
+# punctuation mark and each four characters of a word count as one token)
+# and a list of eight entities at four tokens each.
+_ENTRY_TOKENS = 20
+_ENTITY_TOKENS = 8 * 4
+
+
+def abstraction_batch_size(params: MemoryParams) -> int:
+    """Units per `memory_abstraction` request: as many as fit the default
+    output allowance (`DEFAULT_MAX_OUTPUT_TOKENS`) when each unit's entry
+    takes two tokens per summary word plus its JSON wrapping and eight
+    entities; 9 at the default budget of 30 words, at least 1."""
+    per_unit = 2 * params.summary_budget + _ENTRY_TOKENS + _ENTITY_TOKENS
+    return max(1, DEFAULT_MAX_OUTPUT_TOKENS // per_unit)
+
+
 def abstract_schema(
     transcript: Transcript,
-    line_range: tuple[int, int],
+    units: Sequence[tuple[int, int]],
     backend: Backend,
     params: MemoryParams = MemoryParams(),
-    ordinal: int = 1,
+    first_ordinal: int = 1,
     templates: Mapping[str, PromptTemplate] | None = None,
     rendered: Sequence[str] | None = None,
-) -> tuple[str, tuple[str, ...]]:
-    """Summary and entities of one unit. `rendered` is as for `segment_events`."""
-    a, b = line_range
-    if a < 1 or b > len(transcript.lines) or a > b:
-        raise InvariantViolation(f"line_range {line_range} out of bounds")
+) -> list[tuple[str, tuple[str, ...]]]:
+    """Summary and entities of each of `units`, consecutive line ranges
+    numbered from `first_ordinal`, from one request laid out as the module
+    docstring says. A response that is not JSON is asked for again as two
+    half batches; for a single unit it raises `EmptySummary`. `rendered` is
+    as for `segment_events`."""
+    if not units:
+        raise InvariantViolation("abstraction needs at least one unit")
+    expected = units[0][0]
+    for a, b in units:
+        if a < 1 or b > len(transcript.lines) or a > b or a != expected:
+            raise InvariantViolation(f"line_range {(a, b)} out of bounds or not consecutive")
+        expected = b + 1
+    first, last = units[0][0], units[-1][1]
     if rendered is None:
-        unit = [format_speech_line(line) for line in transcript.lines[a - 1 : b]]
+        lines = [format_speech_line(line) for line in transcript.lines[first - 1 : last]]
     else:
-        unit = rendered[a - 1 : b]
-    body = render_template(
-        lookup_template(templates, "memory_abstraction"),
-        {"transcript": rendered_transcript_block(unit)},
-    )
+        lines = rendered[first - 1 : last]
+    batch = units_block(units, first_ordinal) + "\n" + rendered_transcript_block(lines)
+    body = render_template(lookup_template(templates, "memory_abstraction"), {"transcript": batch})
     system = (
         SYSTEM_MEMORY_MANAGER
-        + f" This is event unit {ordinal}. Keep the summary within"
-        f" {params.summary_budget} words."
+        + f" Keep each unit's summary within {params.summary_budget} words."
     )
     request = ChatRequest(
         system=system,
         user_parts=(TextPart(body),),
-        context={
-            "stage": "memory_abstraction",
-            "ordinal": ordinal,
-            "summary_budget": params.summary_budget,
-        },
+        context={"stage": "memory_abstraction", "summary_budget": params.summary_budget},
     )
     raw = _call(backend, request)
     try:
         payload = json.loads(raw)
-        summary = payload.get("summary", "")
-        entities_raw = payload.get("entities", [])
     except ValueError:
-        summary, entities_raw = "", []
-    if not isinstance(summary, str) or not summary.strip():
-        raise EmptySummary(f"unit {ordinal}: backend returned no usable summary")
-    entities: list[str] = []
-    if isinstance(entities_raw, list):
-        for item in entities_raw:
-            if isinstance(item, str) and item and item not in entities:
-                entities.append(item)
-    return " ".join(summary.split()), tuple(entities)
+        if len(units) > 1:
+            half = len(units) // 2
+            warnings.warn(
+                f"abstraction of units {first_ordinal}-{first_ordinal + len(units) - 1}"
+                " returned no JSON (cut off at the output limit?); asking for each half",
+                DegenerateOutputWarning,
+                stacklevel=2,
+            )
+            head, tail = units[:half], units[half:]
+            return abstract_schema(
+                transcript, head, backend, params, first_ordinal, templates, rendered
+            ) + abstract_schema(
+                transcript, tail, backend, params, first_ordinal + half, templates, rendered
+            )
+        payload = None
+    entries = payload.get("units") if isinstance(payload, dict) else None
+    if not isinstance(entries, list):
+        entries = []
+    if len(entries) > len(units):
+        warnings.warn(
+            f"abstraction returned {len(entries)} entries for {len(units)} unit(s);"
+            " the extra entries were dropped",
+            DegenerateOutputWarning,
+            stacklevel=2,
+        )
+    out: list[tuple[str, tuple[str, ...]]] = []
+    for k in range(len(units)):
+        entry = entries[k] if k < len(entries) and isinstance(entries[k], dict) else {}
+        summary = entry.get("summary")
+        if not isinstance(summary, str) or not summary.strip():
+            raise EmptySummary(
+                f"unit {first_ordinal + k}: backend returned no usable summary"
+            )
+        entities = entry.get("entities")
+        if not isinstance(entities, list):
+            entities = []
+        # first occurrence order, without duplicates
+        kept = dict.fromkeys(item for item in entities if isinstance(item, str) and item)
+        out.append((" ".join(summary.split()), tuple(kept)))
+    return out
 
 
 def link_narrative(
@@ -462,16 +531,21 @@ def build_memory(
     params: MemoryParams = MemoryParams(),
     templates: Mapping[str, PromptTemplate] | None = None,
 ) -> EpisodicMemory:
-    """Full construction pass: segment, abstract each unit, link narrative."""
+    """Full construction pass: segment, abstract the units in batches of
+    `abstraction_batch_size` consecutive units, link narrative."""
     if not transcript.lines:
         raise EmptyTranscript("cannot build memory from an empty transcript")
     rendered = [format_speech_line(line) for line in transcript.lines]
     units = segment_events(transcript, backend, params, templates, rendered)
-    drafts: list[EpisodeDraft] = []
-    for k, (a, b) in enumerate(units):
-        summary, entities = abstract_schema(
-            transcript, (a, b), backend, params, k + 1, templates, rendered
+    size = abstraction_batch_size(params)
+    abstracts: list[tuple[str, tuple[str, ...]]] = []
+    for start in range(0, len(units), size):
+        batch = units[start : start + size]
+        abstracts += abstract_schema(
+            transcript, batch, backend, params, start + 1, templates, rendered
         )
+    drafts: list[EpisodeDraft] = []
+    for k, ((a, b), (summary, entities)) in enumerate(zip(units, abstracts)):
         unit_lines = transcript.lines[a - 1 : b]
         span = (unit_lines[0].start_s, max([line.end_s for line in unit_lines]))
         drafts.append(

@@ -15,7 +15,7 @@ from .backend import PromptTemplate
 from .transcript import SpeechLine
 
 _LINE = re.compile(r"^\[(\d+)\] (\d+(?:\.\d+)?)-(\d+(?:\.\d+)?): (.*)$", re.MULTILINE)
-_LINE_TEXT = re.compile(r"^\[\d+\] \d+(?:\.\d+)?-\d+(?:\.\d+)?: (.*)$", re.MULTILINE)
+_UNIT = re.compile(r"^(\d+): (\d+)-(\d+)$", re.MULTILINE)
 _NOTE = re.compile(r"^\s+note v(\d+) \(([A-Za-z])\): (.*)$")
 _OPTION = re.compile(r"^([A-Z])\. (.*)$")
 
@@ -78,9 +78,18 @@ def parse_transcript_block(inner: str) -> list[tuple[int, float, float, str]]:
     ]
 
 
-def parse_transcript_texts(inner: str) -> list[str]:
-    """The text column of `parse_transcript_block`."""
-    return _LINE_TEXT.findall(inner)
+# --- unit listing -----------------------------------------------------------------
+
+def units_block(units: Sequence[tuple[int, int]], first_ordinal: int = 1) -> str:
+    """A `<units>` block: one `ordinal: first-last` line per unit, the
+    ordinals counting up from `first_ordinal`."""
+    listing = "\n".join(f"{first_ordinal + k}: {a}-{b}" for k, (a, b) in enumerate(units))
+    return wrap_block("units", listing)
+
+
+def parse_units_block(inner: str) -> list[tuple[int, int, int]]:
+    """The `(ordinal, first, last)` of each line of a `units_block`."""
+    return [(int(k), int(a), int(b)) for k, a, b in _UNIT.findall(inner)]
 
 
 # --- episode listing ------------------------------------------------------------
@@ -188,10 +197,11 @@ DEFAULT_TEMPLATES: dict[str, PromptTemplate] = {
     "memory_abstraction": PromptTemplate(
         id="memory_abstraction",
         body=(
-            "Distill the situation-level meaning of the event unit below into a "
-            "short schematic summary, and list the participant entities in order "
-            "of first mention.\n"
-            'Return strict JSON: {"summary": "...", "entities": ["..."]}\n\n'
+            "For each event unit listed below as ordinal: first-last transcript "
+            "line, distill its situation-level meaning into a short schematic "
+            "summary, and list its participant entities in order of first mention.\n"
+            'Return strict JSON, one entry per unit in listing order: {"units": '
+            '[{"summary": "...", "entities": ["..."]}, ...]}\n\n'
             "{transcript}"
         ),
     ),

@@ -6,9 +6,13 @@ reading the same prompts a live model would receive:
 
 - segmentation: new unit when the silence gap between consecutive lines
   reaches ``gap_threshold_s``; units never exceed ``max_lines`` lines.
-- abstraction: summary is "Event N:" plus the unit text truncated to the
-  token budget; entities are capitalized non-function-word tokens in order
-  of first occurrence.
+- abstraction: one request lists a batch of units in a ``<units>`` block
+  (``N: first-last``) over one ``<transcript>`` block. For each listed unit,
+  in listing order, the unit text is the text of the transcript rows whose
+  index lies in first..last, joined by spaces; its summary is "Event N:"
+  plus that text truncated to the token budget, and its entities are the
+  capitalized non-function-word tokens in order of first occurrence. The
+  response is ``{"units": [{"summary", "entities"}, ...]}``.
 - narrative: first unit is the introduction and the last the resolution;
   middles are conflict when their summary contains a conflict-lexicon token,
   else development. Every unit k>0 precedes-links to k-1, and unit k gains a
@@ -56,7 +60,7 @@ from .prompts import (
     parse_episode_lines,
     parse_question_block,
     parse_transcript_block,
-    parse_transcript_texts,
+    parse_units_block,
 )
 from .text import capitalized_entities, content_tokens, raw_tokens, truncate_tokens
 
@@ -173,12 +177,19 @@ class ReferenceBackend:
         return json.dumps({"units": units})
 
     def _abstract(self, request: ChatRequest, payload: str) -> str:
-        ordinal = int(request.context.get("ordinal", 1))
         budget = int(request.context.get("summary_budget", 30))
-        unit_text = " ".join(parse_transcript_texts(extract_block(payload, "transcript") or ""))
-        summary = f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip()
-        entities = ", ".join(map(_json_str, capitalized_entities(unit_text)))
-        return f'{{"summary": {_json_str(summary)}, "entities": [{entities}]}}'
+        rows = parse_transcript_block(extract_block(payload, "transcript") or "")
+        texts = {idx: text for idx, _, _, text in rows}
+        top = max(texts, default=0)
+        out = []  # written as json.dumps writes {"units": [...]}
+        for ordinal, first, last in parse_units_block(extract_block(payload, "units") or ""):
+            unit_text = " ".join(
+                texts[idx] for idx in range(first, min(last, top) + 1) if idx in texts
+            )
+            summary = f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip()
+            entities = ", ".join(map(_json_str, capitalized_entities(unit_text)))
+            out.append(f'{{"summary": {_json_str(summary)}, "entities": [{entities}]}}')
+        return '{"units": [' + ", ".join(out) + "]}"
 
     def _narrate(self, request: ChatRequest, payload: str) -> str:
         levels_needed = max(int(request.context.get("refers_back_overlap", 3)), 1)

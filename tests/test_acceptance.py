@@ -338,8 +338,10 @@ def test_acceptance_8_fault_injection_repair_paths():
     with FakeChatServer() as server:
         server.script = [
             (200, '{"units": [[2, 3], [9, 9]]}'),            # degenerate segmentation
-            (200, '{"summary": "opening beat", "entities": []}'),
-            (200, '{"summary": "closing beat", "entities": []}'),
+            (200, json.dumps({"units": [                      # both units, one request
+                {"summary": "opening beat", "entities": []},
+                {"summary": "closing beat", "entities": []},
+            ]})),
             (200, json.dumps({"episodes": [
                 {"id": 0, "narrative_role": "prologue", "causal_links": []},
                 {"id": 1, "narrative_role": "resolution",

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gcagent.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from gcagent.memory import load_memory
 
 from conftest import FIXTURES
 
@@ -349,6 +350,43 @@ class TestUnreadableTranscript:
         }[command]
         assert run_cli("--reference", *argv) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"gcagent: input error: {path}: ")
+
+
+_ASK = ("ask", "--question", "q", "--options", "A: x | B: y")
+
+
+class TestUnreadableMemory:
+    @pytest.mark.parametrize(
+        "kind, argv",
+        [
+            ("missing", ("stats",)),
+            ("directory", ("stats",)),
+            ("missing", _ASK),
+            ("directory", _ASK),
+            ("directory", (*_ASK, "--build-on-demand")),
+        ],
+        ids=["stats-missing", "stats-directory", "ask-missing", "ask-directory",
+             "ask-build-on-demand-directory"],
+    )
+    def test_exits_1_naming_the_path(self, tmp_path, capsys, kind, argv):
+        path = tmp_path / "m.json"
+        if kind == "directory":
+            path.mkdir()
+        code = run_cli(
+            "--reference", *argv[:1], "--subtitles", VID01, "--memory", str(path), *argv[1:]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"gcagent: input error: {path}: ")
+
+    def test_missing_file_is_built_on_demand(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        code = run_cli(
+            "--reference", "ask", "--subtitles", VID01, "--duration", "20",
+            "--memory", str(path), "--build-on-demand",
+            "--question", "q", "--options", "A: x | B: y",
+        )
+        assert code == EXIT_OK
+        load_memory(path.read_bytes())
 
 
 class TestUsage:

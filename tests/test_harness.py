@@ -7,6 +7,7 @@ import pytest
 from gcagent.harness import (
     BackendPair,
     RunConfig,
+    bucket_token_stats,
     compute_token_stats,
     duration_bucket,
     evaluate,
@@ -49,6 +50,27 @@ class TestTokenStats:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             compute_token_stats(-1.0, 0.0)
+
+
+class TestBucketTokenStats:
+    def test_means_per_bucket_in_bucket_order(self):
+        videos = [(4000.0, 10, 20), (60.0, 200, 50), (300.0, 0, 5), (90.0, 100, 25)]
+        assert bucket_token_stats(videos) == {
+            "0-2min": {"transcript_tokens": 150.0, "memory_tokens": 37.5,
+                       "reduction_pct": 75.0, "videos": 2},
+            "4-15min": {"transcript_tokens": 0.0, "memory_tokens": 5.0,
+                        "reduction_pct": None, "videos": 1},
+            "other": {"transcript_tokens": 10.0, "memory_tokens": 20.0,
+                      "reduction_pct": -100.0, "videos": 1},
+        }
+        assert list(bucket_token_stats(videos)) == ["0-2min", "4-15min", "other"]
+
+    def test_reduction_rounded_to_one_decimal(self):
+        (stats,) = bucket_token_stats([(60.0, 3, 1)]).values()
+        assert stats["reduction_pct"] == 66.7
+
+    def test_no_videos_no_buckets(self):
+        assert bucket_token_stats([]) == {}
 
 
 class TestDurationBucket:

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcagent.backend import PromptTemplate
+from gcagent.backend import ChatResponse, PromptTemplate
 from gcagent.errors import (
     BackendFailure,
     DegenerateOutputWarning,
@@ -32,6 +34,7 @@ from gcagent.memory import (
     _episode_text,
     _write_atomic,
     abstract_schema,
+    abstraction_batch_size,
     build_memory,
     link_narrative,
     load_memory,
@@ -40,11 +43,18 @@ from gcagent.memory import (
     save_memory,
     segment_events,
 )
-from gcagent.prompts import extract_block, wrap_block
+from gcagent.prompts import (
+    extract_block,
+    format_speech_line,
+    parse_transcript_block,
+    parse_units_block,
+    wrap_block,
+)
 from gcagent.reference import ReferenceBackend, ScriptedBackend
-from gcagent.transcript import transcript_digest
+from gcagent.text import capitalized_entities, truncate_tokens
+from gcagent.transcript import load_transcript, transcript_digest
 
-from conftest import make_transcript
+from conftest import FIXTURES, make_transcript, random_transcript
 
 
 class TestSegmentEvents:
@@ -89,7 +99,7 @@ class TestSegmentEvents:
 class TestAbstractSchema:
     def test_summary_prefix_and_entities(self, reference):
         t = make_transcript([(0.0, 1.0, "Alice greets Bob warmly")])
-        summary, entities = abstract_schema(t, (1, 1), reference)
+        ((summary, entities),) = abstract_schema(t, [(1, 1)], reference)
         assert summary == "Event 1: Alice greets Bob warmly"
         assert entities == ("Alice", "Bob")
 
@@ -97,32 +107,226 @@ class TestAbstractSchema:
         words = " ".join(f"tok{i}" for i in range(100))
         t = make_transcript([(0.0, 1.0, words)])
         params = MemoryParams(summary_budget=30)
-        summary, _ = abstract_schema(t, (1, 1), reference, params)
+        ((summary, _),) = abstract_schema(t, [(1, 1)], reference, params)
         prefix, _, body = summary.partition(": ")
         assert prefix == "Event 1"
         assert len(body.split()) == 30
 
     def test_no_capitalized_tokens_no_entities(self, reference):
         t = make_transcript([(0.0, 1.0, "the sky darkens and then rain arrives")])
-        _, entities = abstract_schema(t, (1, 1), reference)
+        ((_, entities),) = abstract_schema(t, [(1, 1)], reference)
         assert entities == ()
 
     def test_ordinal_carried_into_summary(self, reference):
         t = make_transcript([(0.0, 1.0, "alpha"), (20.0, 21.0, "beta")])
-        summary, _ = abstract_schema(t, (2, 2), reference, ordinal=2)
+        ((summary, _),) = abstract_schema(t, [(2, 2)], reference, first_ordinal=2)
         assert summary == "Event 2: beta"
 
     def test_blank_summary_is_an_error(self):
         t = make_transcript([(0.0, 1.0, "x")])
-        backend = ScriptedBackend(['{"summary": "   ", "entities": []}'])
+        backend = ScriptedBackend(['{"units": [{"summary": "   ", "entities": []}]}'])
         with pytest.raises(EmptySummary):
-            abstract_schema(t, (1, 1), backend)
+            abstract_schema(t, [(1, 1)], backend)
 
     def test_entities_deduplicated_in_first_occurrence_order(self):
         t = make_transcript([(0.0, 1.0, "x")])
-        backend = ScriptedBackend(['{"summary": "s", "entities": ["B", "A", "B"]}'])
-        _, entities = abstract_schema(t, (1, 1), backend)
+        backend = ScriptedBackend(['{"units": [{"summary": "s", "entities": ["B", "A", "B"]}]}'])
+        _, entities = abstract_schema(t, [(1, 1)], backend)[0]
         assert entities == ("B", "A")
+
+
+# pieces of transcript text a live model's abstraction must carry through:
+# non-ASCII, the episode-line separator, quotes, JSON escapes, row-like text
+TEXT_PIECES = st.sampled_from(
+    ["Alice", "bob", "|", '"', "'", "\\", "{x}", "é", "Ünïcode", "東京", "😀", "İ",
+     "however", "[3] 0.00-1.00:", "<units>", "1: 1-2", "\t", "\u2028"]
+)
+UNIT_TEXT = st.lists(
+    st.one_of(
+        TEXT_PIECES,
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda parts: "Word " + " ".join(parts))
+
+
+def _per_unit_rule(unit_lines, ordinal: int, budget: int) -> dict:
+    """The reference abstraction rule as it ran with one request per unit:
+    the unit's own `<transcript>` block, its texts joined by spaces."""
+    inner = "\n".join(format_speech_line(line) for line in unit_lines)
+    unit_text = " ".join(row[3] for row in parse_transcript_block(inner))
+    summary = f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip()
+    return {"summary": summary, "entities": capitalized_entities(unit_text)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(UNIT_TEXT, min_size=1, max_size=40),
+    max_lines=st.integers(1, 3),
+    # batch sizes 18, 16, 7, 3 and 1 (one unit per request)
+    budget=st.sampled_from([1, 5, 40, 130, 600]),
+)
+def test_batched_abstraction_matches_the_per_unit_rule(texts, max_lines, budget):
+    t = make_transcript([(float(i), i + 0.5, text) for i, text in enumerate(texts)])
+    params = MemoryParams(gap_threshold_s=100.0, max_lines=max_lines, summary_budget=budget)
+    backend = RecordingBackend()
+    memory = build_memory(t, backend, params)
+    expected = [
+        _per_unit_rule(t.lines[ep.line_range[0] - 1 : ep.line_range[1]], ep.id + 1, budget)
+        for ep in memory.episodes
+    ]
+    responses = [
+        text
+        for request, text in zip(backend.requests, backend.responses)
+        if request.context["stage"] == "memory_abstraction"
+    ]
+    size = abstraction_batch_size(params)
+    batches = [expected[i : i + size] for i in range(0, len(expected), size)]
+    assert responses == [json.dumps({"units": batch}, ensure_ascii=False) for batch in batches]
+    for ep, unit in zip(memory.episodes, expected):
+        assert ep.schematic_summary == " ".join(unit["summary"].split())
+        assert ep.entities == tuple(dict.fromkeys(unit["entities"]))
+
+
+class TestBatchedAbstraction:
+    def test_default_batch_size(self):
+        assert abstraction_batch_size(MemoryParams()) == 9
+        assert abstraction_batch_size(MemoryParams(summary_budget=1)) == 18
+        assert abstraction_batch_size(MemoryParams(summary_budget=600)) == 1
+
+    @pytest.mark.parametrize("budget", [1, 30, 200, 600])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_sends_each_line_once_in_ceil_batches(self, budget, seed):
+        t = random_transcript(random.Random(seed), max_lines=400)
+        params = MemoryParams(summary_budget=budget)
+        backend = RecordingBackend()
+        memory = build_memory(t, backend, params)
+        payloads = [
+            r.text_payload()
+            for r in backend.requests
+            if r.context["stage"] == "memory_abstraction"
+        ]
+        episodes = len(memory.episodes)
+        assert len(payloads) == math.ceil(episodes / abstraction_batch_size(params))
+        sent = [
+            row[0]
+            for payload in payloads
+            for row in parse_transcript_block(extract_block(payload, "transcript"))
+        ]
+        assert sent == list(range(1, len(t.lines) + 1))
+        listed = [
+            unit
+            for payload in payloads
+            for unit in parse_units_block(extract_block(payload, "units"))
+        ]
+        assert listed == [(ep.id + 1, *ep.line_range) for ep in memory.episodes]
+
+    @pytest.mark.parametrize(
+        "response",
+        [
+            '{"units": [{"summary": "a", "entities": []}]}',  # short
+            '{"units": [{"summary": "a"}, null, {"summary": "c"}]}',  # missing
+            '{"units": [{"summary": "a"}, {"entities": ["B"]}, {"summary": "c"}]}',
+            '{"units": [{"summary": "a"}, {"summary": " \\n "}, {"summary": "c"}]}',  # blank
+            '{"units": [{"summary": "a"}, {"summary": 7}, {"summary": "c"}]}',
+        ],
+    )
+    def test_bad_entry_names_its_unit_ordinal(self, response):
+        t = make_transcript([(float(i), i + 0.5, f"line {i}") for i in range(6)])
+        backend = ScriptedBackend([response])
+        with pytest.raises(EmptySummary, match=r"^unit 5: "):
+            abstract_schema(t, [(1, 2), (3, 4), (5, 6)], backend, first_ordinal=4)
+
+    @pytest.mark.parametrize("response", ["[]", '{"units": {}}', '{"u": []}', "null"])
+    def test_unreadable_response_names_the_first_ordinal(self, response):
+        t = make_transcript([(0.0, 1.0, "x"), (2.0, 3.0, "y")])
+        with pytest.raises(EmptySummary, match=r"^unit 3: "):
+            abstract_schema(t, [(1, 1), (2, 2)], ScriptedBackend([response]), first_ordinal=3)
+
+    def test_response_without_json_is_asked_for_in_halves(self):
+        t = make_transcript([(float(i), i + 0.5, f"line {i}") for i in range(3)])
+        entry = '{{"summary": "{}", "entities": []}}'
+        backend = ScriptedBackend(
+            [
+                '{"units": [{"summary": "a"',  # cut off
+                '{"units": [' + entry.format("a") + "]}",
+                "no json here",
+                '{"units": [' + entry.format("b") + "]}",
+                '{"units": [' + entry.format("c") + "]}",
+            ]
+        )
+        with pytest.warns(DegenerateOutputWarning) as caught:
+            out = abstract_schema(t, [(1, 1), (2, 2), (3, 3)], backend, first_ordinal=4)
+        assert out == [("a", ()), ("b", ()), ("c", ())]
+        assert [str(w.message).split(" returned")[0] for w in caught] == [
+            "abstraction of units 4-6",
+            "abstraction of units 5-6",
+        ]
+
+    def test_single_unit_without_json_is_an_error(self):
+        t = make_transcript([(0.0, 1.0, "x"), (2.0, 3.0, "y")])
+        with pytest.warns(DegenerateOutputWarning):
+            with pytest.raises(EmptySummary, match=r"^unit 3: "):
+                abstract_schema(t, [(1, 1), (2, 2)], ScriptedBackend(["{"]), first_ordinal=3)
+
+    @pytest.mark.parametrize("budget", [1, 30])
+    def test_batches_fit_the_output_limit(self, budget):
+        # 400-line transcripts of `w1234` words, the benchmark's vocabulary,
+        # which the counting below splits into two tokens a word, plus the
+        # fixture videos
+        transcripts = [random_transcript(random.Random(seed), 400) for seed in range(3)]
+        transcripts += [
+            load_transcript(str(path)) for path in sorted((FIXTURES / "videos").iterdir())
+        ]
+        params = MemoryParams(summary_budget=budget)
+        for t in transcripts:
+            backend = CuttingBackend()
+            assert build_memory(t, backend, params) == build_memory(t, ReferenceBackend(), params)
+            assert backend.cut == 0
+
+    @pytest.mark.parametrize("budget", [1, 30])
+    def test_cut_off_batches_are_split_until_they_fit(self, budget):
+        # every word a distinct name, so each unit lists dozens of entities
+        rows = [
+            (i * 2.0, i * 2.0 + 1.0, " ".join(f"Name{i}x{j}" for j in range(8)))
+            for i in range(60)
+        ]
+        t = make_transcript(rows)
+        params = MemoryParams(summary_budget=budget, max_lines=4)
+        backend = CuttingBackend()
+        with pytest.warns(DegenerateOutputWarning, match="returned no JSON"):
+            memory = build_memory(t, backend, params)
+        assert backend.cut > 0
+        assert memory == build_memory(t, ReferenceBackend(), params)
+
+    def test_extra_entries_are_dropped_with_a_warning(self):
+        t = make_transcript([(0.0, 1.0, "x")])
+        backend = ScriptedBackend(['{"units": [{"summary": "a"}, {"summary": "b"}]}'])
+        with pytest.warns(DegenerateOutputWarning):
+            assert abstract_schema(t, [(1, 1)], backend) == [("a", ())]
+
+    @pytest.mark.parametrize(
+        "units", [[], [(0, 1)], [(1, 3)], [(2, 1)], [(1, 1), (3, 3)], [(1, 2), (2, 3)]]
+    )
+    def test_units_must_be_consecutive_and_in_bounds(self, units, reference):
+        t = make_transcript([(0.0, 1.0, "x"), (2.0, 3.0, "y")])
+        with pytest.raises(InvariantViolation):
+            abstract_schema(t, units, reference)
+
+    def test_custom_template_transcript_holds_the_batch(self):
+        t = make_transcript([(0.0, 1.0, "Alice waves"), (9.0, 10.0, "Bob nods")])
+        template = PromptTemplate(id="memory_abstraction", body="Units:\n{transcript}")
+        backend = RecordingBackend()
+        out = abstract_schema(
+            t, [(1, 1), (2, 2)], backend, templates={"memory_abstraction": template}
+        )
+        assert out == [("Event 1: Alice waves", ("Alice",)), ("Event 2: Bob nods", ("Bob",))]
+        (request,) = backend.requests
+        assert request.text_payload() == (
+            "Units:\n<units>\n1: 1-1\n2: 2-2\n</units>\n<transcript>\n"
+            "[1] 0.00-1.00: Alice waves\n[2] 9.00-10.00: Bob nods\n</transcript>"
+        )
 
 
 def _draft(i, summary, start=None):
@@ -316,6 +520,30 @@ class TestReflect:
         assert backend.requests == []
 
 
+_PIECE = re.compile(r"\w{1,4}|[^\w\s]")
+
+
+class CuttingBackend:
+    """Reference abstraction responses cut off after the request's
+    `max_output_tokens`, counting each punctuation mark and each run of up
+    to four word characters as one token (more than a subword tokenizer
+    gives for English text)."""
+
+    def __init__(self):
+        self._inner = ReferenceBackend()
+        self.profile = self._inner.profile
+        self.cut = 0
+
+    def complete(self, request):
+        response = self._inner.complete(request)
+        pieces = list(_PIECE.finditer(response.text))
+        limit = request.max_output_tokens
+        if request.context["stage"] != "memory_abstraction" or len(pieces) <= limit:
+            return response
+        self.cut += 1
+        return ChatResponse(text=response.text[: pieces[limit].start()])
+
+
 class RecordingBackend:
     """The reference backend, keeping every request it was sent."""
 
@@ -323,10 +551,13 @@ class RecordingBackend:
         self._inner = ReferenceBackend()
         self.profile = self._inner.profile
         self.requests = []
+        self.responses = []
 
     def complete(self, request):
         self.requests.append(request)
-        return self._inner.complete(request)
+        response = self._inner.complete(request)
+        self.responses.append(response.text)
+        return response
 
 
 class TestMemoryParams:

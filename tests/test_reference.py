@@ -19,6 +19,7 @@ from gcagent.prompts import (
     parse_question_block,
     parse_transcript_block,
     rendered_transcript_block,
+    units_block,
     wrap_block,
 )
 from gcagent.reference import ReferenceBackend
@@ -139,20 +140,35 @@ def _complete(stage, block, inner, **context):
 
 
 @settings(max_examples=200, deadline=None)
-@given(texts=st.lists(LINE_TEXT, min_size=1, max_size=4), budget=st.integers(1, 12))
-def test_abstraction_text_is_what_json_dumps_writes(texts, budget):
+@given(
+    texts=st.lists(LINE_TEXT, min_size=1, max_size=4),
+    cut=st.integers(0, 4),
+    budget=st.integers(1, 12),
+)
+def test_abstraction_text_is_what_json_dumps_writes(texts, cut, budget):
     lines = [
         SpeechLine(index=i + 1, start_s=float(i), end_s=i + 0.5, text=text)
         for i, text in enumerate(texts)
     ]
+    n = len(lines)
+    units = [(1, cut), (cut + 1, n)] if 0 < cut < n else [(1, n)]
     inner = "\n".join(format_speech_line(line) for line in lines)
-    text = _complete("memory_abstraction", "transcript", inner, ordinal=2, summary_budget=budget)
-    unit_text = " ".join(row[3] for row in parse_transcript_block(inner))
-    expected = {
-        "summary": f"Event 2: {truncate_tokens(unit_text, budget)}".strip(),
-        "entities": capitalized_entities(unit_text),
-    }
-    assert text == json.dumps(expected, ensure_ascii=False)
+    payload = units_block(units, 2) + "\n" + wrap_block("transcript", inner)
+    request = ChatRequest(
+        system="s",
+        user_parts=(TextPart(payload),),
+        context={"stage": "memory_abstraction", "summary_budget": budget},
+    )
+    text = ReferenceBackend().complete(request).text
+    rows = parse_transcript_block(inner)
+    expected = []
+    for ordinal, (a, b) in enumerate(units, start=2):
+        unit_text = " ".join(row[3] for row in rows if a <= row[0] <= b)
+        expected.append({
+            "summary": f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip(),
+            "entities": capitalized_entities(unit_text),
+        })
+    assert text == json.dumps({"units": expected}, ensure_ascii=False)
 
 
 @settings(max_examples=100, deadline=None)

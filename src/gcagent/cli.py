@@ -185,7 +185,9 @@ def _load_templates(cfg: dict) -> dict | None:
 
 def _build_backends(cfg: dict, force_reference: bool = False) -> BackendPair:
     if cfg["reference"] or force_reference:
-        return BackendPair(manager=ReferenceBackend(), reasoner=ReferenceBackend())
+        # one backend for both roles, so action can reuse perception's index
+        reference = ReferenceBackend()
+        return BackendPair(manager=reference, reasoner=reference)
     backends = {}
     for role in ("manager", "reasoner"):
         role_cfg = cfg[role]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .backend import Backend, ChatRequest
+from .backend import Backend, ChatRequest, TextPart
 from .errors import GcagentError, ManifestError, StageError, UnparseableAnswer
 from .memory import MemoryParams, MemoryStore, VideoSession, reflect
 from .perception import PerceptionParams, PerceptionResult, Query, perceive
@@ -280,7 +280,20 @@ class Outcome:
     perception: PerceptionResult
     request: ChatRequest
     result: ActionResult | None
+    memory_block: str
     memory_tokens: int
+
+    def prompt_tokens(self) -> int:
+        """`count_tokens(self.request.text_payload()).count`, summed per
+        part: the payload joins its parts with whitespace, and the session's
+        memory block is its counted text plus the two markers."""
+        return sum(
+            self.memory_tokens + 2
+            if part.text is self.memory_block
+            else count_tokens(part.text).count
+            for part in self.request.user_parts
+            if isinstance(part, TextPart)
+        )
 
 
 def answer(
@@ -321,7 +334,7 @@ def answer(
         config.templates,
         memory_block=block,
     )
-    outcome = Outcome(perception, request, None, memory_tokens)
+    outcome = Outcome(perception, request, None, block, memory_tokens)
     if dry_run:
         return outcome
     outcome.result = _staged("action", act, query, request, backends.reasoner)
@@ -407,7 +420,7 @@ def _record_for_item(
     record.transcript_tokens = session.transcript.token_count
     record.memory_tokens = outcome.memory_tokens
     record.token_usage = {
-        "prompt_tokens": count_tokens(outcome.request.text_payload()).count,
+        "prompt_tokens": outcome.prompt_tokens(),
         "completion_tokens": count_tokens(result.raw_response).count,
     }
     return record

@@ -22,13 +22,13 @@ asked for again as two half batches, down to single units.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import secrets
 import threading
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -182,6 +182,19 @@ class EpisodicMemory:
     @property
     def line_count(self) -> int:
         return self.episodes[-1].line_range[1] if self.episodes else 0
+
+    @cached_property
+    def span_index(self) -> tuple[list[int], list[float], list[float]]:
+        """The episode positions ordered by span start, their starts, and
+        the running maximum of their ends, for `_target_episode`. A span
+        holding a nan overlaps nothing and is left out (memory files may
+        list spans in any order). Computed once per instance; `reflect`
+        hands it on to the version it returns. Treat it as read-only."""
+        spans = [ep.span for ep in self.episodes]
+        order = sorted((i for i, (a, b) in enumerate(spans) if a <= b), key=lambda i: spans[i][0])
+        starts = [spans[i][0] for i in order]
+        reach = list(accumulate([spans[i][1] for i in order], max))  # furthest end so far
+        return order, starts, reach
 
 
 # --- prompt-facing serialization -------------------------------------------------
@@ -587,27 +600,23 @@ def _target_episode(
     nearest to them."""
     if not perception_spans:
         return 0
-    spans = [ep.span for ep in memory.episodes]
-    # positions ordered by span start, so each perception span bisects to the
-    # episodes it can overlap; a span holding a nan overlaps nothing and is
-    # left out (memory files may list spans in any order)
-    order = sorted((i for i, (a, b) in enumerate(spans) if a <= b), key=lambda i: spans[i][0])
-    starts = [spans[i][0] for i in order]
-    reach = list(accumulate([spans[i][1] for i in order], max))  # furthest end so far
+    # each perception span bisects to the episodes it can overlap
+    order, starts, reach = memory.span_index
+    episodes = memory.episodes
     candidates: set[int] = set()
     for lo, hi in perception_spans:
         # overlap > 0 needs end > lo and start < hi
         candidates.update(order[bisect_right(reach, lo) : bisect_left(starts, hi)])
     best, target = 0.0, None
     for i in sorted(candidates):
-        overlap = sum(_interval_overlap(spans[i], span) for span in perception_spans)
+        overlap = sum(_interval_overlap(episodes[i].span, span) for span in perception_spans)
         if overlap > best:
             best, target = overlap, i
     if target is not None:
         return target
     gaps = [
         min(_interval_gap(ep.span, span) for span in perception_spans)
-        for ep in memory.episodes
+        for ep in episodes
     ]
     return gaps.index(min(gaps))
 
@@ -671,7 +680,10 @@ def reflect(
     )
     noted = replace(episode, reflections=episode.reflections + (note,))
     episodes = memory.episodes[:target] + (noted,) + memory.episodes[target + 1 :]
-    return replace(memory, episodes=episodes, version=new_version)
+    updated = replace(memory, episodes=episodes, version=new_version)
+    # a note changes no span, so the span index carries over
+    updated.__dict__["span_index"] = memory.span_index
+    return updated
 
 
 def reference_note_summary(answer_id: str, evidence: str, budget: int) -> str:
@@ -735,13 +747,27 @@ def _episode_json(ep: Episode) -> str:
     )
 
 
-def _memory_json(memory: EpisodicMemory, episodes: list[str]) -> bytes:
-    """`save_memory(memory)` from its episodes through `_episode_json`."""
+# the bytes around the episode items of a `save_memory` file that has episodes
+_LIST_HEAD, _ITEM_SEP, _LIST_TAIL = b"[\n    ", b",\n    ", b"\n  ]\n}\n"
+
+
+def _memory_head(memory: EpisodicMemory) -> bytes:
+    """The bytes of `save_memory(memory)` before its episode list."""
     return (
         f'{{\n  "version": {_json_num(memory.version)},\n'
         f'  "source_digest": {_json_str(memory.source_digest)},\n'
-        f'  "episodes": {_json_list(episodes, "    ")}\n}}\n'
+        f'  "episodes": '
     ).encode("utf-8")
+
+
+def _memory_json(memory: EpisodicMemory, items: list[bytes]) -> bytes:
+    """`save_memory(memory)` from its episodes through `_episode_json`, each
+    encoded as UTF-8, in one join; the first and last of `items` change."""
+    if not items:
+        return _memory_head(memory) + b"[]\n}\n"
+    items[0] = _memory_head(memory) + _LIST_HEAD + items[0]
+    items[-1] += _LIST_TAIL
+    return _ITEM_SEP.join(items)
 
 
 def save_memory(memory: EpisodicMemory) -> bytes:
@@ -749,7 +775,7 @@ def save_memory(memory: EpisodicMemory) -> bytes:
     ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` gives for the
     documented schema; written directly because the C encoder does not
     handle ``indent``."""
-    return _memory_json(memory, [_episode_json(ep) for ep in memory.episodes])
+    return _memory_json(memory, [_episode_json(ep).encode("utf-8") for ep in memory.episodes])
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -860,24 +886,24 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 # --- store ---------------------------------------------------------------------------
 
-def _content_hash(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 @dataclass(eq=False)
 class VideoSession:
     """One video's warm state for answering questions: the parsed transcript
-    and the current memory, each with the content hash of the file bytes it
-    stands for, so that a file read again is parsed again only when its
-    bytes changed. Reflections are written through `store` (as `video_id`)
-    when set, else to `path` when set, else kept in this process only. A
-    store's session belongs to the thread that opened it.
+    and the current memory, each with the very file bytes it was parsed
+    from or (the memory) serialized to. A file read again is parsed again
+    only when its bytes differ from those (an `==` compare, not a hash).
+    Reflections are written through `store` (as `video_id`) when set, else
+    to `path` when set, else kept in this process only. A store's session
+    belongs to the thread that opened it.
 
-    The session also keeps each episode's JSON item and, from the first
-    `memory_block` call on, its memory-text lines and their token count.
-    A new memory version re-renders only the episodes that are new objects:
-    `reflect` replaces exactly one. The caches go with the memory they
-    belong to when it is parsed again, rebuilt, or the video changes."""
+    The session also keeps the file bytes it last serialized, with the size
+    of each episode's UTF-8 JSON item in them, and, from the first
+    `memory_block` call on, each episode's memory-text lines and their token
+    count. A new memory version re-renders only the episodes that are new
+    objects (`reflect` replaces exactly one) and copies the rest. After a
+    store write, `memory_bytes` and the serialized file are one object.
+    The caches go with the memory they belong to when it is parsed again,
+    rebuilt, or the video changes."""
 
     transcript: Transcript | None = None
     memory: EpisodicMemory | None = None
@@ -885,12 +911,16 @@ class VideoSession:
     video_id: str = ""
     store: MemoryStore | None = None
     source: tuple[str, float | None] | None = None
-    source_hash: bytes = b""
-    memory_hash: bytes = b""
-    # the episodes the caches below were rendered from; holding them keeps
-    # their identities from being reused by new objects
+    source_bytes: bytes | None = field(default=None, repr=False)
+    memory_bytes: bytes | None = field(default=None, repr=False)
+    # the last `serialize` result, the episodes it was rendered from and the
+    # size of each one's item in it; holding the episodes keeps their
+    # identities from being reused by new objects
+    _file: bytes = field(default=b"", repr=False)
+    _file_episodes: tuple[Episode, ...] = field(default=(), repr=False)
+    _sizes: list[int] = field(default_factory=list, repr=False)
+    # the same for the memory-text lines and their token counts
     _episodes: tuple[Episode, ...] = field(default=(), repr=False)
-    _json: list[str] | None = field(default=None, repr=False)
     _text: list[str] | None = field(default=None, repr=False)
     _tokens: list[int] | None = field(default=None, repr=False)
 
@@ -901,37 +931,55 @@ class VideoSession:
         elif self.path is not None:
             _write_atomic(self.path, self.serialize(memory))
         if self.memory is not memory:  # the store records it in its thread's session only
-            self.memory, self.memory_hash = memory, b""
+            self.memory, self.memory_bytes = memory, None
 
     def drop_memory(self) -> None:
         """Forget the memory and everything rendered from it."""
-        self.memory, self.memory_hash = None, b""
-        self._episodes, self._json, self._text, self._tokens = (), None, None, None
+        self.memory, self.memory_bytes = None, None
+        self._file, self._file_episodes, self._sizes = b"", (), []
+        self._episodes, self._text, self._tokens = (), None, None
 
     def _sync(self, memory: EpisodicMemory) -> None:
-        """Bring the per-episode caches up to `memory`."""
+        """Bring the memory-text cache up to `memory`."""
         episodes, old = memory.episodes, self._episodes
         if episodes is old:
             return
         if len(episodes) != len(old):
-            self._json = self._text = self._tokens = None
-        else:
+            self._text = self._tokens = None
+        elif self._text is not None:
             for i, ep in enumerate(episodes):
-                if ep is old[i]:
-                    continue
-                if self._json is not None:
-                    self._json[i] = _episode_json(ep)
-                if self._text is not None:
+                if ep is not old[i]:
                     self._text[i] = text = _episode_text(ep)
                     self._tokens[i] = count_tokens(text).count
         self._episodes = episodes
 
     def serialize(self, memory: EpisodicMemory) -> bytes:
-        """`save_memory(memory)`, re-rendering only changed episodes."""
+        """`save_memory(memory)`. Only the episodes that are new objects
+        since the last call are rendered; the other items are copied from
+        the last result, all in one join."""
         self._sync(memory)
-        if self._json is None:
-            self._json = [_episode_json(ep) for ep in memory.episodes]
-        return _memory_json(memory, self._json)
+        episodes, old = memory.episodes, self._file_episodes
+        if len(episodes) != len(old) or not old:
+            items = [_episode_json(ep).encode("utf-8") for ep in episodes]
+            sizes = [len(item) for item in items]
+            data = _memory_json(memory, items)
+        else:
+            last, sizes = memoryview(self._file), list(self._sizes)
+            end = len(last) - len(_LIST_TAIL)
+
+            def start(i: int) -> int:  # where item i begins, counted back from the tail
+                return end - sum(sizes[i:]) - (len(sizes) - 1 - i) * len(_ITEM_SEP)
+
+            pieces, pos = [_memory_head(memory) + _LIST_HEAD], start(0)
+            for i in [i for i, ep in enumerate(episodes) if ep is not old[i]]:
+                item = _episode_json(episodes[i]).encode("utf-8")
+                begin = start(i)  # items after i keep their sizes
+                pieces += (last[pos:begin], item)
+                pos, sizes[i] = begin + sizes[i], len(item)
+            pieces.append(last[pos:])
+            data = b"".join(pieces)
+        self._file, self._file_episodes, self._sizes = data, episodes, sizes
+        return data
 
     def memory_block(self) -> tuple[str, int]:
         """`wrap_block("memory", memory_text(self.memory))` and the token
@@ -949,8 +997,8 @@ class MemoryStore:
 
     Each thread keeps one `VideoSession`. Every call reads the files again,
     which is how edits by other processes are seen, but parses a file again
-    only when its bytes hash differently from what the session last read
-    or wrote."""
+    only when its bytes differ from the bytes the session last read or
+    wrote; the session compares them with `==`, so no file is hashed."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -993,22 +1041,21 @@ class MemoryStore:
         its memory up to date with `get_or_build` before answering."""
         session = self._session(video_id)
         data = read_source(source)
-        digest = _content_hash(data)
         key = (source, video_duration_s)
-        if session.transcript is None or (session.source, session.source_hash) != (key, digest):
-            session.transcript = None
+        if session.transcript is None or session.source != key or session.source_bytes != data:
+            session.transcript = session.source_bytes = None
             session.transcript = load_transcript(source, video_duration_s, data=data)
-            session.source, session.source_hash = key, digest
+            session.source, session.source_bytes = key, data
         return session
 
     def _write(self, video_id: str, memory: EpisodicMemory, session: VideoSession | None) -> None:
         if session is None:
             _write_atomic(self.path(video_id), save_memory(memory))
             return
-        session.memory, session.memory_hash = None, b""
+        session.memory, session.memory_bytes = None, None
         data = session.serialize(memory)
         _write_atomic(self.path(video_id), data)
-        session.memory, session.memory_hash = memory, _content_hash(data)
+        session.memory, session.memory_bytes = memory, data
 
     def save(self, video_id: str, memory: EpisodicMemory) -> None:
         with self._lock(video_id):
@@ -1032,11 +1079,10 @@ class MemoryStore:
             except FileNotFoundError:
                 data = None
             if data is not None:
-                digest = _content_hash(data)
-                if session.memory is None or session.memory_hash != digest:
+                if session.memory is None or session.memory_bytes != data:
                     session.drop_memory()
                     session.memory = load_memory(data)
-                    session.memory_hash = digest
+                    session.memory_bytes = data
                 if session.memory.source_digest == transcript_digest(transcript):
                     return session.memory
             session.drop_memory()

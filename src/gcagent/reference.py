@@ -35,10 +35,12 @@ Every response is a pure function of the request, so identical requests
 produce byte-identical responses. Per thread, the backend keeps an index
 (posting lists from content token to positions) of the last ``<transcript>``
 block perception read and of the episode lines of the last ``<memory>``
-block action read, keyed by the sha256 of that text. An unchanged block is
-thus parsed and tokenized once, not on every question; reflection notes,
-which change with every answered question, are not part of the memory key.
-The index changes no response.
+block action read, keyed by that text itself and reused while the next
+block is equal to it (``==``, no hash). An unchanged block is thus parsed
+and tokenized once, not on every question; reflection notes, which change
+with every answered question, are not part of the memory key. Action reuses
+perception's transcript index when its ``<transcript>`` block is that same
+block (the full-transcript compositions). The index changes no response.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .prompts import (
     parse_question_block,
     parse_transcript_block,
     parse_units_block,
+    transcript_row_text,
 )
 from .text import capitalized_entities, content_tokens, raw_tokens, truncate_tokens
 
@@ -68,6 +71,8 @@ from .text import capitalized_entities, content_tokens, raw_tokens, truncate_tok
 _json_str = json.encoder.encode_basestring  # a string as json.dumps(ensure_ascii=False) writes it
 _CONFLICT_SCREEN = re.compile("|".join(map(re.escape, sorted(CONFLICT_LEXICON))))
 _Postings = dict[str, tuple[int, ...]]  # content token -> ascending positions
+# a line that parse_episode_lines skips (not starting with 「), with the newline before it
+_NON_EPISODE_LINE = re.compile("\n(?!「)[^\n]*")
 
 
 def pick_best_option(scores: Mapping[str, float]) -> str:
@@ -116,6 +121,17 @@ def _transcript_index(block: str) -> tuple[list[int], _Postings]:
     """The `[idx]` of each transcript row, and the rows' postings."""
     rows = parse_transcript_block(block)
     return [idx for idx, _, _, _ in rows], _postings(text for _, _, _, text in rows)
+
+
+def _episode_listing(memory: str) -> str:
+    """The lines of a memory block's text that start with 「, joined by
+    newlines: all that `parse_episode_lines` reads of it."""
+    listing = _NON_EPISODE_LINE.sub("", memory)  # the text itself when nothing goes
+    if memory.startswith("「"):
+        return listing
+    # the first line has no newline before it: drop it and the one after it
+    cut = listing.find("\n")
+    return listing[cut + 1 :] if cut >= 0 else ""
 
 
 def _memory_index(listing: str) -> tuple[list[str], _Postings]:
@@ -254,14 +270,17 @@ class ReferenceBackend:
 
     def _act(self, request: ChatRequest, payload: str) -> str:
         query, options = parse_question_block(extract_block(payload, "question") or "")
-        # the excerpt changes with every question, so it is parsed directly
-        rows = parse_transcript_block(extract_block(payload, "transcript") or "")
-        row_postings = _postings(text for _, _, _, text in rows)
-        listing = "\n".join(
-            line
-            for line in (extract_block(payload, "memory") or "").split("\n")
-            if line.startswith("「")  # the only lines parse_episode_lines reads
-        )
+        block = extract_block(payload, "transcript") or ""
+        slot = getattr(self._slots, "transcript", None)
+        if slot is not None and slot[0] == block:  # perception's block: reuse its index
+            keys, row_postings = slot[1]
+            rows = None
+        else:
+            # an excerpt changes with every question, so it is parsed directly
+            # and leaves perception's slot as it is
+            rows = parse_transcript_block(block)
+            keys, row_postings = [idx for idx, _, _, _ in rows], _postings(r[3] for r in rows)
+        listing = _episode_listing(extract_block(payload, "memory") or "")
         summaries, summary_postings = self._cached("memory", listing, _memory_index)
         scores = {
             label: float(
@@ -277,20 +296,21 @@ class ReferenceBackend:
         best = pick_best_option(scores)
         needle = _needle(query, options)
         evidence = ""
-        if rows:
-            evidence = rows[_best(needle, row_postings, [idx for idx, _, _, _ in rows])][3]
+        if keys:
+            pos = _best(needle, row_postings, keys)
+            evidence = transcript_row_text(block, pos) if rows is None else rows[pos][3]
         elif summaries:
             evidence = summaries[_best(needle, summary_postings, range(len(summaries)))]
         return f"Answer: ({best})\nEvidence: {evidence or 'No textual evidence available.'}"
 
     def _cached(self, kind: str, block: str, build: Callable[[str], tuple]) -> tuple:
-        """`build(block)`, kept in this thread's `kind` slot under the sha256
-        of `block` and reused while the next request's block hashes the same."""
-        key = hashlib.sha256(block.encode("utf-8")).digest()
+        """`build(block)`, kept in this thread's `kind` slot together with
+        `block` itself and reused while the next request's block is equal to
+        it (`==`, so no hash and no collision)."""
         slot = getattr(self._slots, kind, None)
-        if slot is None or slot[0] != key:
+        if slot is None or slot[0] != block:
             setattr(self._slots, kind, None)  # drop the stale index before building
-            slot = (key, build(block))
+            slot = (block, build(block))
             setattr(self._slots, kind, slot)
         return slot[1]
 

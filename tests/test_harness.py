@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+import gcagent.reference as reference
 from gcagent.harness import (
     BackendPair,
     RunConfig,
+    _item_session,
+    answer,
     bucket_token_stats,
     compute_token_stats,
     duration_bucket,
@@ -17,8 +20,9 @@ from gcagent.harness import (
 )
 from gcagent.errors import ManifestError, StageError
 from gcagent.memory import MemoryStore, load_memory
-from gcagent.reasoning import EvidenceConfig
+from gcagent.reasoning import ABLATION_ROWS, EvidenceConfig
 from gcagent.reference import ReferenceBackend
+from gcagent.transcript import count_tokens
 
 from conftest import FIXTURES, make_transcript
 
@@ -318,3 +322,43 @@ def test_memory_tokens_grow_at_most_linearly_in_episode_count(backends):
         transcript = make_transcript(rows)
         memory = build_memory(transcript, backends.manager)
         assert memory_token_count(memory) <= len(memory.episodes) * (budget + overhead)
+
+
+def _vid01_items():
+    return [item for item in load_manifest(MANIFEST) if item.video_id == "vid01"]
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_ROWS))
+def test_prompt_tokens_sum_per_part_equals_the_payload_count(tmp_path, backends, name):
+    store = MemoryStore(tmp_path / "mem")
+    config = RunConfig(evidence=ABLATION_ROWS[name])
+    for item in _vid01_items():
+        session = _item_session(item, store)
+        store.get_or_build(item.video_id, session.transcript, backends.manager)
+        outcome = answer(session, item.query, config, backends)
+        assert outcome.prompt_tokens() == count_tokens(outcome.request.text_payload()).count
+
+
+def test_full_transcript_questions_reuse_perceptions_index(tmp_path, monkeypatch):
+    """With one reference backend in both roles, action reads the whole
+    transcript through the index perception built: one parse for two
+    questions, not one per stage and question."""
+    backend = ReferenceBackend()
+    backends = BackendPair(manager=backend, reasoner=backend)
+    store = MemoryStore(tmp_path / "mem")
+    items = _vid01_items()
+    session = _item_session(items[0], store)
+    store.get_or_build("vid01", session.transcript, backend)  # the build parses its own prompts
+    calls = []
+    parse = reference.parse_transcript_block
+    monkeypatch.setattr(
+        reference, "parse_transcript_block", lambda inner: calls.append(1) or parse(inner)
+    )
+    config = RunConfig(evidence=ABLATION_ROWS["full_transcript_memory"])
+    results = [run_pipeline(item, config, backends, store) for item in items]
+    assert len(calls) == 1
+    fresh = BackendPair(manager=ReferenceBackend(), reasoner=ReferenceBackend())
+    expected = [
+        run_pipeline(item, config, fresh, MemoryStore(tmp_path / "fresh")) for item in items
+    ]
+    assert results == expected

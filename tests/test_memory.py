@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ from gcagent.memory import (
     link_narrative,
     load_memory,
     memory_text,
+    _target_episode,
     reflect,
     save_memory,
     segment_events,
@@ -964,3 +966,58 @@ def test_target_episode_fixed_cases(spans, perception):
         source_digest="d",
     )
     assert _target_episode(memory, perception) == _scan_target(memory, perception)
+
+
+_perceptions = st.lists(st.tuples(_times, _times).map(sorted).map(tuple), max_size=5)
+_OPTIONS = (("A", "x"), ("B", "y"))
+
+
+def _memory_of(spans, digest="d") -> EpisodicMemory:
+    return EpisodicMemory(
+        episodes=tuple(_episode(i, span) for i, span in enumerate(spans)),
+        version=1,
+        source_digest=digest,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(spans=_episode_spans, steps=st.lists(_perceptions, min_size=1, max_size=6))
+def test_span_index_carried_through_reflections_matches_scan(spans, steps):
+    """`reflect` hands its input's span index on to the version it returns,
+    and the carried index picks what the whole-memory scan picks, for a
+    memory loaded from a file with its spans in any order and nan spans."""
+    memory = load_memory(save_memory(_memory_of(spans)))
+    index = memory.span_index
+    backend = ReferenceBackend()
+    for k, perception in enumerate(steps):
+        assert _target_episode(memory, perception) == _scan_target(memory, perception)
+        memory = reflect(f"q{k}", _OPTIONS, "A", f"evidence {k}", memory, perception, backend)
+        assert memory.span_index is index
+    assert index == replace(memory).span_index  # computed again: replace hands nothing on
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=_episode_spans, second=_episode_spans, perception=_perceptions)
+def test_reloaded_or_rebuilt_memory_never_reuses_a_stale_index(
+    first, second, perception, tmp_path_factory
+):
+    """Only `reflect` hands an index on: a memory parsed again from its file,
+    one made with `dataclasses.replace` and one rebuilt each get their own."""
+    backend = ReferenceBackend()
+    transcript = make_transcript([(0.0, 1.0, "crimson river")])
+    store = MemoryStore(tmp_path_factory.mktemp("mem"))
+    store.path("v").write_bytes(save_memory(_memory_of(first, transcript.digest)))
+    loaded = store.get_or_build("v", transcript, backend)
+    stale = reflect("q", _OPTIONS, "A", "evidence", loaded, perception, backend)
+    store.save("v", stale)
+    assert stale.span_index is loaded.span_index
+
+    store.path("v").write_bytes(save_memory(_memory_of(second, transcript.digest)))
+    reloaded = store.get_or_build("v", transcript, backend)
+    replaced = replace(stale, episodes=reloaded.episodes)
+    rebuilt = store.get_or_build("v", make_transcript([(0.0, 1.0, "palette")]), backend)
+    for memory in (reloaded, replaced, rebuilt):
+        assert memory is not stale
+        assert memory.span_index is not stale.span_index
+        assert memory.span_index == replace(memory).span_index
+        assert _target_episode(memory, perception) == _scan_target(memory, perception)

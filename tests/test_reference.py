@@ -446,3 +446,46 @@ def test_threads_sharing_a_backend_keep_their_own_index(parse_calls):
     assert parse_calls["transcript"] == 2  # one index per thread, never evicted
     for me in (0, 1):
         assert answers[me] == [_perceive_oracle(QUESTION, videos[me], 1)] * rounds
+
+
+_LISTING_LINES = st.lists(
+    st.sampled_from(["", " ", "「", "」", "「1 | 0.00-1.00 | x」", "  note v2 (A): y", "x「", " 「z」"]),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_LISTING_LINES)
+def test_episode_listing_keeps_the_lines_parse_episode_lines_reads(lines):
+    text = "\n".join(lines)
+    expected = "\n".join(line for line in text.split("\n") if line.startswith("「"))
+    assert reference._episode_listing(text) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(question=questions(), rows=transcript_rows(), listing=episode_listings())
+def test_action_on_perceptions_transcript_matches_per_row_scan(question, rows, listing):
+    """Action reuses perception's index when its `<transcript>` block is the
+    same block, as in the full-transcript compositions."""
+    backend = ReferenceBackend()
+    backend.complete(_request("perception", question, rows, listing, top_k=2))
+    request = _request("action", question, rows, listing)
+    assert backend.complete(request).text == _act_oracle(question, rows, listing)
+
+
+def test_action_reuses_perceptions_transcript_index(parse_calls):
+    backend = ReferenceBackend()
+    full = ["[1] 0.00-1.00: crimson river", "[2] 1.00-2.00: palette stone", "[3] 2.00-3.00: river"]
+    excerpt = full[1:2]
+    for _ in range(2):
+        backend.complete(_request("perception", QUESTION, full, [], top_k=1))
+        backend.complete(_request("action", QUESTION, full, []))
+    assert parse_calls["transcript"] == 1  # perception's first request only
+    # an excerpt is parsed directly and leaves perception's slot in place
+    for _ in range(2):
+        assert backend.complete(_request("action", QUESTION, excerpt, [])).text == _act_oracle(
+            QUESTION, excerpt, []
+        )
+    assert parse_calls["transcript"] == 3
+    backend.complete(_request("action", QUESTION, full, []))
+    assert parse_calls["transcript"] == 3

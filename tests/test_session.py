@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import gcagent.memory
 from gcagent.harness import BackendPair, RunConfig, evaluate, load_manifest, run_pipeline
 from gcagent.memory import (
+    Episode,
+    EpisodicMemory,
     MemoryStore,
     VideoSession,
     load_memory,
@@ -269,3 +271,68 @@ def test_session_renders_equal_one_shot_functions(steps):
                 base = store.path(vid).read_bytes()
             assert store.path(vid).read_bytes() == save_memory(session.memory)
             _assert_session_renders(session)
+
+
+_ODD_WORDS = st.sampled_from(
+    ["caf\u00e9", "\u300cx\u300d", "\u2028", '"q"', "back\\slash", "\U0001f600", "|", "eggs"]
+)
+_NAN, _INF = float("nan"), float("inf")
+_SPANS = st.lists(
+    st.one_of(
+        st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 5.0)).map(lambda p: (p[0], p[0] + p[1])),
+        st.sampled_from([(_NAN, _NAN), (_NAN, 3.0), (-_INF, _INF), (0.0, _INF)]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spans=_SPANS,
+    words=st.lists(_ODD_WORDS, min_size=1, max_size=3),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(["reflect", "reflect", "reflect", "first", "reloaded", "shorter"]),
+            st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 8.0)),
+            st.lists(_ODD_WORDS, min_size=1, max_size=3),
+        ),
+        max_size=8,
+    ),
+)
+def test_serialize_matches_save_memory_over_reflections(spans, words, steps):
+    """Byte for byte `save_memory`, whether the session copies unchanged
+    items from its last file or renders all of them: non-ASCII summaries,
+    entities and notes, inf and nan spans, versions gaining a digit, and
+    memories whose episodes are all other objects or fewer."""
+    text = " ".join(words)
+    memory = EpisodicMemory(
+        episodes=tuple(
+            Episode(
+                id=i,
+                span=span,
+                line_range=(i + 1, i + 1),
+                schematic_summary=f"Event {i + 1}: {text}",
+                entities=(text,),
+            )
+            for i, span in enumerate(spans)
+        ),
+        version=8,
+        source_digest=text,
+    )
+    first, reference, session = memory, ReferenceBackend(), VideoSession()
+    assert session.serialize(memory) == save_memory(memory)
+    for action, (lo, width), note_words in steps:
+        if action == "reflect":
+            note = " ".join(note_words)
+            memory = reflect(
+                note, (("A", "a"), ("B", "b")), "A", "ev " + note, memory,
+                [(lo, lo + width)], reference,
+            )
+        elif action == "first":
+            memory = first
+        elif action == "reloaded":  # equal content, every episode a new object
+            memory = load_memory(save_memory(memory))
+        else:
+            memory = dataclasses.replace(memory, episodes=memory.episodes[:-1] or memory.episodes)
+        assert session.serialize(memory) == save_memory(memory)

@@ -15,9 +15,10 @@ batch: a `<units>` block with one `ordinal: first-last` line per unit
 indices), then the batch's lines, each sent once, in one `<transcript>`
 block. The response is `{"units": [{"summary": ..., "entities": [...]},
 ...]}`, one entry per listed unit in listing order; a missing, short or
-blank entry raises `EmptySummary` naming that unit's ordinal. A response
-that is not JSON at all (as when it was cut off at the output limit) is
-asked for again as two half batches, down to single units.
+blank entry, or a summary that cannot be written as UTF-8, raises
+`EmptySummary` naming that unit's ordinal (such an entity is dropped). A
+response that is not JSON at all (as when it was cut off at the output
+limit) is asked for again as two half batches, down to single units.
 """
 
 from __future__ import annotations
@@ -241,6 +242,16 @@ class EpisodeDraft:
     entities: tuple[str, ...]
 
 
+def _encodable(text: str) -> bool:
+    """Whether `text` can be written as UTF-8. A lone surrogate, which
+    `json.loads` reads from an escape such as `\\ud800`, cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _call(backend: Backend, request: ChatRequest) -> str:
     try:
         return complete(backend, request).text
@@ -451,7 +462,7 @@ def abstract_schema(
     for k in range(len(units)):
         entry = entries[k] if k < len(entries) and isinstance(entries[k], dict) else {}
         summary = entry.get("summary")
-        if not isinstance(summary, str) or not summary.strip():
+        if not isinstance(summary, str) or not summary.strip() or not _encodable(summary):
             raise EmptySummary(
                 f"unit {first_ordinal + k}: backend returned no usable summary"
             )
@@ -459,7 +470,9 @@ def abstract_schema(
         if not isinstance(entities, list):
             entities = []
         # first occurrence order, without duplicates
-        kept = dict.fromkeys(item for item in entities if isinstance(item, str) and item)
+        kept = dict.fromkeys(
+            item for item in entities if isinstance(item, str) and item and _encodable(item)
+        )
         out.append((" ".join(summary.split()), tuple(kept)))
     return out
 
@@ -667,7 +680,7 @@ def reflect(
     try:
         payload = json.loads(raw)
         summary = payload["summary"]
-        if not isinstance(summary, str) or not summary.strip():
+        if not isinstance(summary, str) or not summary.strip() or not _encodable(summary):
             raise ValueError
     except (ValueError, KeyError, TypeError):
         raise BackendFailure("reflection returned no usable summary; memory unchanged") from None

@@ -15,10 +15,15 @@ reading the same prompts a live model would receive:
   response is ``{"units": [{"summary", "entities"}, ...]}``.
 - narrative: first unit is the introduction and the last the resolution;
   middles are conflict when their summary contains a conflict-lexicon token,
-  else development. Every unit k>0 precedes-links to k-1, and unit k gains a
-  refers_back link to each earlier unit j <= k-2 whose summary shares at
-  least ``refers_back_overlap`` distinct content tokens with its own
-  (an overlap of 1 or less means any shared token), targets ascending.
+  else development. Every unit k>0 precedes-links to k-1. Overlap counts the
+  distinct content tokens two summary bodies share, a body being the summary
+  without a leading "Event N:" (which every abstraction summary has, so it
+  would make any two summaries overlap). Unit k gains a refers_back link to
+  earlier units j <= k-2 whose body shares at least ``refers_back_overlap``
+  tokens with its own (an overlap of 1 or less means any shared token), at
+  most ``REFERS_BACK_LIMIT`` (8) of them: those with the greatest overlap,
+  ties to the lowest position, targets ascending. The narrative response thus
+  grows linearly with the number of units.
 - perception: per-line score is the number of distinct content tokens the
   line shares with the query plus options; the top_k scoring lines win,
   lower line indices on ties.
@@ -68,7 +73,10 @@ from .prompts import (
 from .text import capitalized_entities, content_tokens, raw_tokens, truncate_tokens
 
 
+REFERS_BACK_LIMIT = 8  # refers_back links per episode, at most
+
 _json_str = json.encoder.encode_basestring  # a string as json.dumps(ensure_ascii=False) writes it
+_ORDINAL = re.compile("Event [0-9]+:")  # the head of every abstraction summary
 _CONFLICT_SCREEN = re.compile("|".join(map(re.escape, sorted(CONFLICT_LEXICON))))
 _Postings = dict[str, tuple[int, ...]]  # content token -> ascending positions
 # a line that parse_episode_lines skips (not starting with 「), with the newline before it
@@ -140,6 +148,44 @@ def _memory_index(listing: str) -> tuple[list[str], _Postings]:
     return summaries, _postings(summaries)
 
 
+def _summary_body(summary: str) -> str:
+    """`summary` without a leading "Event N:"."""
+    head = _ORDINAL.match(summary)
+    return summary[head.end() :] if head else summary
+
+
+def _strongest(hit: int, bitsets: Iterable[int], limit: int) -> int:
+    """The `limit` positions of bitset `hit`, which holds more than `limit`,
+    that are set in the most of `bitsets`, ties to the lowest position."""
+    # bit-sliced counters: bit p of planes[i] is bit i of position p's count
+    planes: list[int] = []
+    for bitset in bitsets:
+        carry, i = bitset & hit, 0
+        while carry:
+            if i == len(planes):
+                planes.append(carry)
+                break
+            planes[i], carry = planes[i] ^ carry, planes[i] & carry
+            i += 1
+    # radix select from the highest count bit down; `hit` keeps the positions
+    # whose count is still tied with the ones yet to pick, always >= need
+    kept, need = 0, limit
+    for plane in reversed(planes):
+        ones = hit & plane
+        count = ones.bit_count()
+        if count >= need:
+            hit = ones
+        else:
+            kept |= ones
+            need -= count
+            hit ^= ones
+    for _ in range(need):
+        low = hit & -hit
+        kept |= low
+        hit ^= low
+    return kept
+
+
 def _has_conflict_token(summary: str) -> bool:
     if not _CONFLICT_SCREEN.search(summary.lower()):
         return False  # cheap substring screen before exact token matching
@@ -159,8 +205,9 @@ class ReferenceBackend:
     # -- dispatch ---------------------------------------------------------
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        """The stage rule's response. `prompt_tokens` is 0 (not reported),
-        as from an HTTP endpoint that sends no usage."""
+        """The stage rule's response. Its usage, `prompt_tokens` and
+        `completion_tokens`, is 0 (not reported), as from an HTTP endpoint
+        that sends no usage."""
         if request.has_images() and not self.profile.multimodal:
             raise CapabilityMismatch("text-only reference backend received image parts")
         payload = request.text_payload()
@@ -170,7 +217,7 @@ class ReferenceBackend:
             text = f"reference:{digest}"
         else:
             text = handler(self, request, payload)
-        return ChatResponse(text=text, completion_tokens=len(text.split()))
+        return ChatResponse(text=text)
 
     # -- stage rules --------------------------------------------------------
 
@@ -231,7 +278,7 @@ class ReferenceBackend:
             if k > 0:
                 links.append(f'{{"target_id": {ids[k - 1]}, "relation": "precedes"}}')
             mark = 1 << k
-            tokens = set(content_tokens(ep["summary"]))
+            tokens = set(content_tokens(_summary_body(ep["summary"])))
             shared = tokens & bits.keys()
             bits.update(dict.fromkeys(tokens - shared, mark))  # first seen: no fold
             if len(shared) < levels_needed:  # too few for any refers_back link
@@ -246,6 +293,9 @@ class ReferenceBackend:
                         level[i] |= level[i - 1] & b
                     level[0] |= b
                 hit = level[-1] & ((1 << max(k - 1, 0)) - 1)  # non-adjacent: j <= k-2
+                if hit.bit_count() > REFERS_BACK_LIMIT:
+                    # bits[token] has gained bit k, which `hit` never holds
+                    hit = _strongest(hit, [bits[token] for token in shared], REFERS_BACK_LIMIT)
                 while hit:
                     low = hit & -hit
                     links.append(

@@ -18,10 +18,10 @@ from gcagent.harness import (
     render_report_table,
     run_pipeline,
 )
-from gcagent.errors import ManifestError, StageError
+from gcagent.errors import BackendFailure, ManifestError, StageError
 from gcagent.memory import MemoryStore, load_memory
 from gcagent.reasoning import ABLATION_ROWS, EvidenceConfig
-from gcagent.reference import ReferenceBackend
+from gcagent.reference import ReferenceBackend, ScriptedBackend
 from gcagent.transcript import count_tokens
 
 from conftest import FIXTURES, make_transcript
@@ -166,6 +166,22 @@ class TestRunPipeline:
         run_pipeline(items["q0101"], RunConfig(reflect=False), backends, store)
         saved = load_memory(store.path("vid01").read_bytes())
         assert saved.version == 1
+
+    def test_unwritable_reflection_summary_leaves_memory_unchanged(self, tmp_path, backends):
+        items = {i.question_id: i for i in load_manifest(MANIFEST)}
+        store = MemoryStore(tmp_path)
+        run_pipeline(items["q0101"], RunConfig(reflect=False), backends, store)
+        before = store.path("vid01").read_bytes()
+        # the manager answers perception, then reflection with a lone surrogate
+        manager = ScriptedBackend(['{"line_indices": [1]}', '{"summary": "bad \\ud800 note"}'])
+        scripted = BackendPair(manager=manager, reasoner=ReferenceBackend())
+        with pytest.raises(StageError) as exc:
+            run_pipeline(items["q0101"], RunConfig(), scripted, store)
+        assert exc.value.stage == "reflection"
+        assert isinstance(exc.value.cause, BackendFailure)
+        assert store.path("vid01").read_bytes() == before
+        run_pipeline(items["q0101"], RunConfig(), backends, store)
+        assert load_memory(store.path("vid01").read_bytes()).version == 2
 
     def test_caption_fallback_when_subtitle_missing(self, tmp_path, backends):
         items = {i.question_id: i for i in load_manifest(MANIFEST)}

@@ -52,7 +52,7 @@ from gcagent.prompts import (
     parse_units_block,
     wrap_block,
 )
-from gcagent.reference import ReferenceBackend, ScriptedBackend
+from gcagent.reference import REFERS_BACK_LIMIT, ReferenceBackend, ScriptedBackend
 from gcagent.text import capitalized_entities, truncate_tokens
 from gcagent.transcript import load_transcript, transcript_digest
 
@@ -134,6 +134,12 @@ class TestAbstractSchema:
         t = make_transcript([(0.0, 1.0, "x")])
         backend = ScriptedBackend(['{"units": [{"summary": "s", "entities": ["B", "A", "B"]}]}'])
         _, entities = abstract_schema(t, [(1, 1)], backend)[0]
+        assert entities == ("B", "A")
+
+    def test_unwritable_and_non_string_entities_are_dropped(self):
+        t = make_transcript([(0.0, 1.0, "x")])
+        response = '{"units": [{"summary": "s", "entities": ["B", 7, "C \\udc80", "", "A"]}]}'
+        _, entities = abstract_schema(t, [(1, 1)], ScriptedBackend([response]))[0]
         assert entities == ("B", "A")
 
 
@@ -232,6 +238,8 @@ class TestBatchedAbstraction:
             '{"units": [{"summary": "a"}, {"entities": ["B"]}, {"summary": "c"}]}',
             '{"units": [{"summary": "a"}, {"summary": " \\n "}, {"summary": "c"}]}',  # blank
             '{"units": [{"summary": "a"}, {"summary": 7}, {"summary": "c"}]}',
+            # a lone surrogate, which no UTF-8 memory file can hold
+            '{"units": [{"summary": "a"}, {"summary": "bad \\ud800"}, {"summary": "c"}]}',
         ],
     )
     def test_bad_entry_names_its_unit_ordinal(self, response):
@@ -434,6 +442,19 @@ class TestBuildMemory:
         a = build_memory(cooking_transcript, reference)
         b = build_memory(cooking_transcript, reference)
         assert save_memory(a) == save_memory(b)
+
+    def test_refers_back_links_per_episode_stay_within_the_limit(self, reference):
+        # 61 captions that repeat their words: at overlap 1 most episodes have
+        # more than 8 earlier episodes to refer back to
+        t = load_transcript(str(FIXTURES / "videos" / "vid04.captions.jsonl"))
+        memory = build_memory(t, reference, MemoryParams(refers_back_overlap=1))
+        targets = [
+            [link.target_id for link in ep.causal_links if link.relation == "refers_back"]
+            for ep in memory.episodes
+        ]
+        assert max(map(len, targets)) == REFERS_BACK_LIMIT == 8
+        for ep, ids in zip(memory.episodes, targets):
+            assert ids == sorted(ids) and all(i <= ep.id - 2 for i in ids)
 
     def test_first_episode_introduction_last_resolution(self, reference):
         import random

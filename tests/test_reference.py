@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import gcagent.reference as reference
@@ -47,13 +48,29 @@ MALFORMED = (
 )
 
 
-def _oracle(entries, overlap):
-    """Brute force over every pair: j links back to k when j <= k-2 and the
-    summaries share at least max(overlap, 1) distinct content tokens."""
-    kept = [(eid, summary) for kind, eid, summary in entries if kind == "ok"]
-    token_sets = [set(content_tokens(summary)) for _, summary in kept]
+def _body(summary):
+    """The summary without its leading "Event N:"."""
+    return re.sub(r"\AEvent [0-9]+:", "", summary)
+
+
+def _candidates(entries, overlap):
+    """Per kept episode k: {j: shared body tokens} for every j <= k-2 whose
+    body shares at least max(overlap, 1) distinct content tokens with k's."""
+    kept = [summary for kind, _, summary in entries if kind == "ok"]
+    token_sets = [set(content_tokens(_body(summary))) for summary in kept]
     out = []
-    for k, (eid, summary) in enumerate(kept):
+    for k, tokens in enumerate(token_sets):
+        shared = {j: len(token_sets[j] & tokens) for j in range(k - 1)}
+        out.append({j: n for j, n in shared.items() if n >= max(overlap, 1)})
+    return out
+
+
+def _oracle(entries, overlap):
+    """Brute force over every pair: k links back to the 8 candidates j that
+    share the most body tokens with it, ties to the lowest j, ascending."""
+    kept = [(eid, summary) for kind, eid, summary in entries if kind == "ok"]
+    out = []
+    for k, ((eid, summary), shared) in enumerate(zip(kept, _candidates(entries, overlap))):
         if k == 0:
             role = "introduction"
         elif k == len(kept) - 1:
@@ -63,10 +80,9 @@ def _oracle(entries, overlap):
         else:
             role = "development"
         links = [{"target_id": kept[k - 1][0], "relation": "precedes"}] if k else []
+        strongest = sorted(shared, key=lambda j: (-shared[j], j))[:8]
         links += [
-            {"target_id": kept[j][0], "relation": "refers_back"}
-            for j in range(k - 1)
-            if len(token_sets[j] & token_sets[k]) >= max(overlap, 1)
+            {"target_id": kept[j][0], "relation": "refers_back"} for j in sorted(strongest)
         ]
         out.append({"id": eid, "narrative_role": role, "causal_links": links})
     return {"episodes": out}
@@ -75,13 +91,13 @@ def _oracle(entries, overlap):
 @st.composite
 def listings(draw):
     entries = []
-    for pos in range(draw(st.integers(0, 30))):
+    for pos in range(draw(st.integers(0, 40))):
         if draw(st.integers(0, 9)) == 0:
             entries.append(("bad", None, draw(st.sampled_from(MALFORMED))))
             continue
         words = draw(st.lists(st.sampled_from(WORDS), max_size=8))
         eid = pos + draw(st.integers(0, 3))  # ids need not equal list positions
-        ordinal = draw(st.integers(1, 4))  # repeated ordinals share a token
+        ordinal = draw(st.integers(1, 4))  # repeated ordinals: equal heads
         entries.append(("ok", eid, " ".join([f"Event {ordinal}:", *words])))
     return entries
 
@@ -106,16 +122,49 @@ def _narrate(entries, overlap):
 @settings(max_examples=300, deadline=None)
 @given(entries=listings(), overlap=st.integers(0, 4))
 def test_refers_back_matches_pairwise_oracle(entries, overlap):
+    if any(len(shared) > 8 for shared in _candidates(entries, overlap)):
+        event("more than 8 refers_back candidates")
     assert _narrate(entries, overlap) == _oracle(entries, overlap)
 
 
-def test_ordinal_only_summaries_link_on_any_overlap():
-    entries = [("ok", i, f"Event {i + 1}: the of a") for i in range(4)]
-    out = _narrate(entries, 1)["episodes"]
-    # "event" is each summary's one content token besides its ordinal
-    assert [l["target_id"] for l in out[3]["causal_links"]] == [2, 0, 1]
-    assert _narrate(entries, 2) == _oracle(entries, 2)
-    assert all(len(ep["causal_links"]) <= 1 for ep in _narrate(entries, 2)["episodes"])
+def _refers_back(episode):
+    return [l["target_id"] for l in episode["causal_links"] if l["relation"] == "refers_back"]
+
+
+def test_strongest_eight_candidates_win_ties_to_the_lowest_position():
+    # episode 11 shares 1 body token with episodes 0-5, 2 with 6-8 and 3 with 9
+    bodies = ["river"] * 6 + ["river stone"] * 3 + ["river stone pigment"] * 3
+    bodies[10] = ""
+    entries = [("ok", i, f"Event {i + 1}: {body}".strip()) for i, body in enumerate(bodies)]
+    assert len(_candidates(entries, 1)[11]) == 10
+    out = _narrate(entries, 1)
+    assert out == _oracle(entries, 1)
+    assert _refers_back(out["episodes"][11]) == [0, 1, 2, 3, 6, 7, 8, 9]
+    assert _refers_back(_narrate(entries, 2)["episodes"][11]) == [6, 7, 8, 9]
+
+
+def test_ordinal_only_summaries_never_link_back():
+    # the heads share "event" and, for equal ordinals, the ordinal; the
+    # bodies hold only stopwords
+    entries = [("ok", i, f"Event {i % 2 + 1}: the of a") for i in range(6)]
+    for overlap in (1, 2, 3, 4):
+        out = _narrate(entries, overlap)
+        assert out == _oracle(entries, overlap)
+        assert all(_refers_back(ep) == [] for ep in out["episodes"])
+
+
+def test_refers_back_links_stay_bounded_when_every_body_shares_a_word():
+    # at overlap 1 every episode j <= k-2 is a candidate of episode k: about
+    # E²/2 links without the limit, 8 per episode with it
+    texts = {}
+    for n in (1000, 2000):
+        entries = [("ok", i, f"Event {i + 1}: crimson") for i in range(n)]
+        texts[n] = _narrate_text(entries, 1)
+        episodes = json.loads(texts[n])["episodes"]
+        assert [_refers_back(ep) for ep in episodes] == [
+            list(range(min(k - 1, 8))) if k > 1 else [] for k in range(n)
+        ]
+    assert len(texts[2000]) < 2.05 * len(texts[1000])
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,13 +179,13 @@ LINE_TEXT = st.text(
 ).map(lambda t: f"Word {t}")
 
 
-def _complete(stage, block, inner, **context):
+def _respond(stage, block, inner, **context):
     request = ChatRequest(
         system="s",
         user_parts=(TextPart(wrap_block(block, inner)),),
         context={"stage": stage, **context},
     )
-    return ReferenceBackend().complete(request).text
+    return ReferenceBackend().complete(request)
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,9 +223,11 @@ def test_abstraction_text_is_what_json_dumps_writes(texts, cut, budget):
 @settings(max_examples=100, deadline=None)
 @given(evidence=LINE_TEXT)
 def test_reflection_text_is_what_json_dumps_writes(evidence):
-    text = _complete("reflection", "evidence", evidence, answer_id="B", summary_budget=6)
+    response = _respond("reflection", "evidence", evidence, answer_id="B", summary_budget=6)
     summary = truncate_tokens(f"(B) {' '.join(evidence.split())}", 6)
-    assert text == json.dumps({"summary": summary}, ensure_ascii=False)
+    assert response.text == json.dumps({"summary": summary}, ensure_ascii=False)
+    # like an endpoint that sends no usage
+    assert (response.prompt_tokens, response.completion_tokens) == (0, 0)
 
 
 @settings(max_examples=300, deadline=None)

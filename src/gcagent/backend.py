@@ -11,6 +11,7 @@ configuration alone. A fully deterministic in-process backend lives in
 from __future__ import annotations
 
 import base64
+import json
 import os
 import re
 import threading
@@ -23,6 +24,8 @@ from typing import Any, Mapping, Protocol, Union
 import requests
 
 from .errors import (
+    BackendError,
+    BackendFailure,
     CapabilityMismatch,
     InvariantViolation,
     RateLimited,
@@ -112,6 +115,26 @@ def complete(backend: Backend, request: ChatRequest) -> ChatResponse:
             f"backend {backend.profile.name!r} is text-only but the request has image parts"
         )
     return backend.complete(request)
+
+
+def complete_text(backend: Backend, request: ChatRequest) -> str:
+    """The text of `complete(backend, request)`, the call every pipeline
+    stage makes; a `BackendError` is raised as `BackendFailure`."""
+    try:
+        return complete(backend, request).text
+    except BackendError as exc:
+        raise BackendFailure(str(exc)) from exc
+
+
+def answer_field(raw: str, key: str, kind: type):
+    """`json.loads(raw)[key]` when `raw` is a JSON object whose `key` holds
+    a `kind`; None otherwise, the answer then being unreadable."""
+    try:
+        payload = json.loads(raw)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
+        return None
+    value = payload.get(key) if isinstance(payload, dict) else None
+    return value if isinstance(value, kind) else None
 
 
 # --- prompt templates ----------------------------------------------------------

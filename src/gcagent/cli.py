@@ -24,7 +24,6 @@ from pathlib import Path
 from .backend import HttpBackend, ImagePart, TextPart, load_template_file
 from .backend import TEMPLATE_IDS, ChatRequest
 from .errors import (
-    BackendError,
     BackendFailure,
     ConfigError,
     GcagentError,
@@ -153,6 +152,9 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
             if not isinstance(loaded, dict):
                 raise ConfigError(f"config file {value}: top level must be an object")
             cfg = _merge(cfg, loaded)
+    for section in ("manager", "reasoner", "perception", "memory", "evidence"):
+        if not isinstance(cfg[section], dict):
+            raise ConfigError(f"{section} must be an object, got {cfg[section]!r}")
     if reference_flag:
         cfg["reference"] = True
     if cfg["reference"] is None:
@@ -163,9 +165,13 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
                 raise ConfigError(
                     f"reference mode forbids an endpoint for the {role} role"
                 )
-    for section, params in (("perception", PerceptionParams), ("memory", MemoryParams)):
+    for params, fields in (
+        (PerceptionParams, cfg["perception"]),
+        (MemoryParams, cfg["memory"]),
+        (RunConfig, {"workers": cfg["workers"]}),
+    ):
         try:
-            params(**cfg[section])
+            params(**fields)
         except (InvariantViolation, TypeError) as exc:  # TypeError: an unknown field
             raise ConfigError(str(exc)) from None
     return cfg
@@ -209,7 +215,7 @@ def _run_config(cfg: dict) -> RunConfig:
         memory_params=MemoryParams(**cfg["memory"]),
         perception_params=PerceptionParams(**cfg["perception"]),
         strict=bool(cfg["strict"]),
-        workers=int(cfg["workers"]),
+        workers=cfg["workers"],
         templates=_load_templates(cfg),
     )
 
@@ -355,25 +361,12 @@ def cmd_eval(args, cfg: dict) -> int:
             raise ManifestError(args.manifest, "no items")
         print(f"dry-run: manifest has {len(items)} items, nothing executed")
         return EXIT_OK
+    baseline = _load_baseline(args.compare) if args.compare else None
     backends = _build_backends(cfg)
     run_config = _run_config(cfg)
     if args.no_reflect:
         run_config = dataclasses.replace(run_config, reflect=False)
     report = evaluate(args.manifest, run_config, backends, cfg["memory_dir"])
-    baseline = None
-    if args.compare:
-        compare_path = Path(args.compare)
-        if not compare_path.exists():
-            raise ConfigError(f"baseline report not found: {args.compare}")
-        doc = json.loads(compare_path.read_text(encoding="utf-8"))
-        baseline = RunReport(
-            config=doc.get("config", {}),
-            items=[],
-            counts=doc.get("counts", {}),
-            accuracy=doc.get("accuracy", {"overall": None, "by_split": {}, "by_category": {}}),
-            token_stats=doc.get("token_stats", {}),
-            memory_versions=doc.get("memory_versions", {}),
-        )
     out_path = Path(args.out)
     out_path.write_bytes(report.to_json_bytes())
     print(render_report_table(report, baseline))
@@ -381,6 +374,27 @@ def cmd_eval(args, cfg: dict) -> int:
     if cfg["strict"] and report.counts["errors"] > 0:
         return EXIT_BACKEND
     return EXIT_OK
+
+
+def _load_baseline(path: str) -> RunReport:
+    """The `--compare` report; a file that is missing or is no JSON object
+    is a config error."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"baseline report not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"baseline report {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"baseline report {path}: top level must be an object")
+    return RunReport(
+        config=doc.get("config", {}),
+        items=[],
+        counts=doc.get("counts", {}),
+        accuracy=doc.get("accuracy", {"overall": None, "by_split": {}, "by_category": {}}),
+        token_stats=doc.get("token_stats", {}),
+        memory_versions=doc.get("memory_versions", {}),
+    )
 
 
 def cmd_stats(args, cfg: dict) -> int:
@@ -528,10 +542,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gcagent: stage '{exc.stage}' failed: {exc.cause}", file=sys.stderr)
         if isinstance(exc.cause, ConfigError):
             return EXIT_USAGE
-        if isinstance(exc.cause, (BackendError, BackendFailure)):
+        if isinstance(exc.cause, BackendFailure):
             return EXIT_BACKEND
         return EXIT_INPUT
-    except (BackendError, BackendFailure) as exc:
+    except BackendFailure as exc:
         print(f"gcagent: backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except GcagentError as exc:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .backend import Backend, ChatRequest, TextPart
 from .errors import GcagentError, ManifestError, StageError, UnparseableAnswer
-from .memory import MemoryParams, MemoryStore, VideoSession, reflect
+from .memory import MemoryParams, MemoryStore, VideoSession, check_minimums, reflect
 from .perception import PerceptionParams, PerceptionResult, Query, perceive
 from .reasoning import ActionResult, EvidenceConfig, act, assemble_evidence
 from .transcript import Transcript, count_tokens, load_transcript
@@ -122,6 +122,9 @@ class RunConfig:
     strict: bool = False
     workers: int = 4
     templates: dict | None = None
+
+    def __post_init__(self):
+        check_minimums(self, (("workers", int, 1),))
 
 
 # --- manifest -------------------------------------------------------------------
@@ -567,24 +570,16 @@ def render_report_table(report: RunReport, baseline: RunReport | None = None) ->
         return f" ({current - previous:+.1f})"
 
     base_acc = baseline.accuracy if baseline else {"by_split": {}, "by_category": {}}
-    if report.accuracy["by_split"]:
-        lines.append("by split:")
-        for split, entry in report.accuracy["by_split"].items():
-            base = base_acc["by_split"].get(split, {}).get("accuracy") if baseline else None
+    for section in ("by_split", "by_category"):
+        if not report.accuracy[section]:
+            continue
+        lines.append(section.replace("_", " ") + ":")
+        for name, entry in report.accuracy[section].items():
+            base = base_acc[section].get(name, {}).get("accuracy")
             acc = entry["accuracy"]
             acc_str = "n/a" if acc is None else f"{acc:.1f}%"
             lines.append(
-                f"  {split:<12} {acc_str:>7} ({entry['correct']}/{entry['total']})"
-                + _delta(acc, base)
-            )
-    if report.accuracy["by_category"]:
-        lines.append("by category:")
-        for category, entry in report.accuracy["by_category"].items():
-            base = base_acc["by_category"].get(category, {}).get("accuracy") if baseline else None
-            acc = entry["accuracy"]
-            acc_str = "n/a" if acc is None else f"{acc:.1f}%"
-            lines.append(
-                f"  {category:<12} {acc_str:>7} ({entry['correct']}/{entry['total']})"
+                f"  {name:<12} {acc_str:>7} ({entry['correct']}/{entry['total']})"
                 + _delta(acc, base)
             )
     if report.token_stats:

@@ -40,11 +40,11 @@ from .backend import (
     ChatRequest,
     PromptTemplate,
     TextPart,
-    complete,
+    answer_field,
+    complete_text,
     render_template,
 )
 from .errors import (
-    BackendError,
     BackendFailure,
     DegenerateOutputWarning,
     EmptySummary,
@@ -252,13 +252,6 @@ def _encodable(text: str) -> bool:
     return True
 
 
-def _call(backend: Backend, request: ChatRequest) -> str:
-    try:
-        return complete(backend, request).text
-    except BackendError as exc:
-        raise BackendFailure(str(exc)) from exc
-
-
 def segment_events(
     transcript: Transcript,
     backend: Backend,
@@ -293,19 +286,9 @@ def segment_events(
             "max_lines": params.max_lines,
         },
     )
-    raw = _call(backend, request)
-    proposal: list = []
-    parse_failed = False
-    try:
-        payload = json.loads(raw)
-        proposal = payload["units"]
-        if not isinstance(proposal, list):
-            raise TypeError
-    except (ValueError, KeyError, TypeError):
-        parse_failed = True
-        proposal = []
-    units, repaired = _repair_units(proposal, n)
-    if parse_failed or repaired:
+    proposal = answer_field(complete_text(backend, request), "units", list)
+    units, repaired = _repair_units(proposal or [], n)
+    if proposal is None or repaired:
         warnings.warn(
             f"segmentation output repaired into {len(units)} unit(s)",
             DegenerateOutputWarning,
@@ -429,11 +412,12 @@ def abstract_schema(
         user_parts=(TextPart(body),),
         context={"stage": "memory_abstraction", "summary_budget": params.summary_budget},
     )
-    raw = _call(backend, request)
-    try:
-        payload = json.loads(raw)
-    except ValueError:
-        if len(units) > 1:
+    raw = complete_text(backend, request)
+    entries = answer_field(raw, "units", list)
+    if entries is None and len(units) > 1:
+        try:
+            json.loads(raw)  # JSON without a `units` list is not asked for again
+        except (ValueError, RecursionError):
             half = len(units) // 2
             warnings.warn(
                 f"abstraction of units {first_ordinal}-{first_ordinal + len(units) - 1}"
@@ -447,10 +431,7 @@ def abstract_schema(
             ) + abstract_schema(
                 transcript, tail, backend, params, first_ordinal + half, templates, rendered
             )
-        payload = None
-    entries = payload.get("units") if isinstance(payload, dict) else None
-    if not isinstance(entries, list):
-        entries = []
+    entries = entries or []
     if len(entries) > len(units):
         warnings.warn(
             f"abstraction returned {len(entries)} entries for {len(units)} unit(s);"
@@ -485,7 +466,7 @@ def link_narrative(
 ) -> list[tuple[str, tuple[CausalLink, ...]]]:
     """Assign one narrative role per draft episode and validated causal links.
     Invalid roles become 'other' and invalid links are dropped, each with a
-    warning."""
+    warning; a `causal_links` that is not a list is one invalid link."""
     if not drafts:
         raise InvariantViolation("link_narrative needs at least one draft episode")
     listing = "\n".join(
@@ -503,22 +484,18 @@ def link_narrative(
             "refers_back_overlap": params.refers_back_overlap,
         },
     )
-    raw = _call(backend, request)
-    assignments: dict[int, dict] = {}
-    parse_failed = False
-    try:
-        payload = json.loads(raw)
-        for entry in payload["episodes"]:
-            if isinstance(entry, dict) and isinstance(entry.get("id"), int):
-                assignments[entry["id"]] = entry
-    except (ValueError, KeyError, TypeError):
-        parse_failed = True
-    if parse_failed:
+    entries = answer_field(complete_text(backend, request), "episodes", list)
+    if entries is None:
         warnings.warn(
             "narrative output unreadable; roles defaulted, links dropped",
             InvalidLinkWarning,
             stacklevel=2,
         )
+    assignments = {
+        entry["id"]: entry
+        for entry in entries or []
+        if isinstance(entry, dict) and isinstance(entry.get("id"), int)
+    }
     out: list[tuple[str, tuple[CausalLink, ...]]] = []
     for draft in drafts:
         entry = assignments.get(draft.id, {})
@@ -530,16 +507,21 @@ def link_narrative(
                     InvalidLinkWarning,
                     stacklevel=2,
                 )
-            role = role if role in NARRATIVE_ROLES else "other"
+            role = "other"
+        proposed = entry.get("causal_links")
+        if not isinstance(proposed, list):
+            if proposed is not None:
+                warnings.warn(
+                    f"episode {draft.id}: dropped causal_links {proposed!r}, not a list",
+                    InvalidLinkWarning,
+                    stacklevel=2,
+                )
+            proposed = []
         links: list[CausalLink] = []
-        for link in entry.get("causal_links", []) or []:
-            target = link.get("target_id") if isinstance(link, dict) else None
-            relation = link.get("relation") if isinstance(link, dict) else None
-            if (
-                isinstance(target, int)
-                and relation in LINK_RELATIONS
-                and 0 <= target < draft.id
-            ):
+        for link in proposed:
+            fields = link if isinstance(link, dict) else {}
+            target, relation = fields.get("target_id"), fields.get("relation")
+            if isinstance(target, int) and relation in LINK_RELATIONS and 0 <= target < draft.id:
                 links.append(CausalLink(target_id=target, relation=relation))
             else:
                 warnings.warn(
@@ -676,14 +658,9 @@ def reflect(
             "summary_budget": params.summary_budget,
         },
     )
-    raw = _call(backend, request)
-    try:
-        payload = json.loads(raw)
-        summary = payload["summary"]
-        if not isinstance(summary, str) or not summary.strip() or not _encodable(summary):
-            raise ValueError
-    except (ValueError, KeyError, TypeError):
-        raise BackendFailure("reflection returned no usable summary; memory unchanged") from None
+    summary = answer_field(complete_text(backend, request), "summary", str)
+    if summary is None or not summary.strip() or not _encodable(summary):
+        raise BackendFailure("reflection returned no usable summary; memory unchanged")
     new_version = memory.version + 1
     note = ReflectionNote(
         query=query,

@@ -9,7 +9,6 @@ flags the result.
 
 from __future__ import annotations
 
-import json
 import shlex
 import warnings
 from bisect import bisect_left, bisect_right
@@ -18,10 +17,16 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .backend import Backend, ChatRequest, PromptTemplate, TextPart, complete, render_template
+from .backend import (
+    Backend,
+    ChatRequest,
+    PromptTemplate,
+    TextPart,
+    answer_field,
+    complete_text,
+    render_template,
+)
 from .errors import (
-    BackendError,
-    BackendFailure,
     BudgetTooSmallWarning,
     DigestMismatch,
     EmptyTranscript,
@@ -255,19 +260,9 @@ def perceive(
         user_parts=(TextPart(body),),
         context={"stage": "perception", "top_k": params.top_k},
     )
-    try:
-        raw = complete(backend, request).text
-    except BackendError as exc:
-        raise BackendFailure(str(exc)) from exc
-    indices: list[int] = []
-    try:
-        payload = json.loads(raw)
-        for value in payload["line_indices"]:
-            if isinstance(value, int) and not isinstance(value, bool):
-                if 1 <= value <= len(transcript.lines):
-                    indices.append(value)
-    except (ValueError, KeyError, TypeError):
-        indices = []
+    proposed = answer_field(complete_text(backend, request), "line_indices", list)
+    n = len(transcript.lines)
+    indices = [value for value in proposed or [] if type(value) is int and 1 <= value <= n]
     if not indices:
         warnings.warn(
             "no query-relevant lines found; falling back to uniform sampling",

@@ -20,12 +20,10 @@ from .backend import (
     ImagePart,
     PromptTemplate,
     TextPart,
-    complete,
+    complete_text,
     render_template,
 )
 from .errors import (
-    BackendError,
-    BackendFailure,
     FrameBudgetExceeded,
     InvariantViolation,
     MissingDuration,
@@ -185,17 +183,14 @@ def assemble_evidence(
 
 def act(query, evidence_request: ChatRequest, backend: Backend) -> ActionResult:
     """Run the reasoning request and extract (answer, evidence)."""
-    try:
-        response = complete(backend, evidence_request)
-    except BackendError as exc:
-        raise BackendFailure(str(exc)) from exc
-    answer_id, evidence = parse_answer(response.text, query.options)
+    raw = complete_text(backend, evidence_request)
+    answer_id, evidence = parse_answer(raw, query.options)
     config_doc = evidence_request.context.get("evidence_config")
     config = EvidenceConfig.from_dict(config_doc) if config_doc else EvidenceConfig()
     return ActionResult(
         answer_id=answer_id,
-        evidence=evidence if evidence.strip() else response.text,
-        raw_response=response.text,
+        evidence=evidence if evidence.strip() else raw,
+        raw_response=raw,
         config=config,
     )
 

@@ -232,6 +232,17 @@ class TestEval:
         assert code == EXIT_OK
         assert "(+0.0)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("content", ["not json", "[1, 2]"])
+    def test_malformed_baseline_is_usage_error(self, tmp_path, capsys, content):
+        base = tmp_path / "base.json"
+        base.write_text(content)
+        code = run_cli("--reference", "eval", MANIFEST, "--out", str(tmp_path / "r.json"),
+                       "--compare", str(base))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcagent: config error: baseline report {base}")
+        assert "Traceback" not in err
+
     def test_empty_manifest_exits_1(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n")
@@ -446,6 +457,28 @@ class TestUsage:
         assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "config error:" in err and "bogus" in err
+
+    @pytest.mark.parametrize("section", ["manager", "reasoner", "perception", "memory", "evidence"])
+    @pytest.mark.parametrize("value", [1, [], None])
+    def test_section_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, section, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({section: value}))
+        assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            f"gcagent: config error: {section} must be an object"
+        )
+
+    @pytest.mark.parametrize("value", ["x", "0", "-2", "2.5", "true"])
+    def test_workers_not_a_positive_integer_is_usage_error(self, tmp_path, capsys, value):
+        code = run_cli("--config", f"workers={value}", "eval", MANIFEST)
+        assert code == EXIT_USAGE
+        assert "config error: workers must be an integer >= 1" in capsys.readouterr().err
+
+    def test_workers_in_file_not_a_positive_integer_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"workers": 0}))
+        assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
+        assert "config error: workers must be an integer >= 1" in capsys.readouterr().err
 
     def test_ask_without_question_is_usage_error(self):
         code = run_cli("--reference", "ask", "--subtitles", VID01, "--build-on-demand")

@@ -91,6 +91,13 @@ class TestSegmentEvents:
         with pytest.warns(DegenerateOutputWarning):
             assert segment_events(t, backend) == [(1, 2)]
 
+    def test_answer_nested_too_deep_becomes_single_unit(self):
+        # json.loads raises RecursionError, not ValueError, on deep nesting
+        t = make_transcript([(0.0, 1.0, "a"), (1.0, 2.0, "b")])
+        backend = ScriptedBackend(["[" * 100_000])
+        with pytest.warns(DegenerateOutputWarning):
+            assert segment_events(t, backend) == [(1, 2)]
+
     def test_overlapping_units_clipped(self):
         t = make_transcript([(i * 1.0, i * 1.0 + 0.5, f"l{i}") for i in range(5)])
         backend = ScriptedBackend(['{"units": [[1, 3], [2, 5]]}'])

@@ -117,13 +117,28 @@ def complete(backend: Backend, request: ChatRequest) -> ChatResponse:
     return backend.complete(request)
 
 
+def encodable(text: str) -> bool:
+    """Whether `text` can be written as UTF-8. A lone surrogate, which
+    `json.loads` reads from an escape such as `\\ud800`, cannot."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def complete_text(backend: Backend, request: ChatRequest) -> str:
     """The text of `complete(backend, request)`, the call every pipeline
-    stage makes; a `BackendError` is raised as `BackendFailure`."""
+    stage makes. A `BackendError`, and an answer that cannot be written as
+    UTF-8 (so could not reach a report or a memory file), are raised as
+    `BackendFailure`."""
     try:
-        return complete(backend, request).text
+        text = complete(backend, request).text
     except BackendError as exc:
         raise BackendFailure(str(exc)) from exc
+    if not encodable(text):
+        raise BackendFailure("answer holds text that cannot be written as UTF-8")
+    return text
 
 
 def answer_field(raw: str, key: str, kind: type):

@@ -72,7 +72,8 @@ _DEFAULTS: dict = {
                 "multimodal": False},
     "reasoner": {"endpoint": None, "model": "reasoner", "timeout_s": 120.0, "max_retries": 3,
                  "multimodal": True},
-    "perception": {"top_k": 5, "pad_s": 2.0, "merge_window_s": 10.0, "max_frames": 32},
+    "perception": {"top_k": 5, "pad_s": 2.0, "merge_window_s": 10.0, "max_frames": 32,
+                   "context_budget": 2048},
     "memory": {"gap_threshold_s": 5.0, "max_lines": 20, "summary_budget": 30,
                "refers_back_overlap": 3},
     "evidence": {"vision": "qr_segment", "text": "qr_transcript",
@@ -91,6 +92,7 @@ _OVERRIDE_SECTIONS = {
     "pad_s": ("perception", "pad_s"),
     "merge_window_s": ("perception", "merge_window_s"),
     "max_frames": ("perception", "max_frames"),
+    "context_budget": ("perception", "context_budget"),
     "gap_threshold_s": ("memory_params", "gap_threshold_s"),
     "max_lines": ("memory_params", "max_lines"),
     "summary_budget": ("memory_params", "summary_budget"),
@@ -120,6 +122,31 @@ def _coerce(raw: str):
         return float(raw)
     except ValueError:
         return raw
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_settings(cfg: dict) -> None:
+    """Raise `ConfigError` for a role setting, `memory_dir` or
+    `templates_dir` of a type or range the backends and the store cannot
+    use."""
+    for role in ("manager", "reasoner"):
+        role_cfg = cfg[role]
+        endpoint = role_cfg.get("endpoint")
+        if endpoint is not None and not isinstance(endpoint, str):
+            raise ConfigError(f"{role}.endpoint must be a string, got {endpoint!r}")
+        timeout = role_cfg.get("timeout_s", 60.0)
+        if not _is_number(timeout) or not timeout > 0:  # also rejects NaN
+            raise ConfigError(f"{role}.timeout_s must be a number > 0, got {timeout!r}")
+        retries = role_cfg.get("max_retries", 3)
+        if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
+            raise ConfigError(f"{role}.max_retries must be an integer >= 0, got {retries!r}")
+    if not isinstance(cfg["memory_dir"], str) or not cfg["memory_dir"]:
+        raise ConfigError(f"memory_dir must be a non-empty string, got {cfg['memory_dir']!r}")
+    if cfg["templates_dir"] is not None and not isinstance(cfg["templates_dir"], str):
+        raise ConfigError(f"templates_dir must be a string, got {cfg['templates_dir']!r}")
 
 
 def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
@@ -155,6 +182,7 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
     for section in ("manager", "reasoner", "perception", "memory", "evidence"):
         if not isinstance(cfg[section], dict):
             raise ConfigError(f"{section} must be an object, got {cfg[section]!r}")
+    _check_settings(cfg)
     if reference_flag:
         cfg["reference"] = True
     if cfg["reference"] is None:
@@ -192,6 +220,7 @@ def _load_templates(cfg: dict) -> dict | None:
 def _build_backends(cfg: dict, force_reference: bool = False) -> BackendPair:
     if cfg["reference"] or force_reference:
         # one backend for both roles, so action can reuse perception's index
+        # of a whole transcript that fits the context budget
         reference = ReferenceBackend()
         return BackendPair(manager=reference, reasoner=reference)
     backends = {}
@@ -377,8 +406,9 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def _load_baseline(path: str) -> RunReport:
-    """The `--compare` report; a file that is missing or is no JSON object
-    is a config error."""
+    """The `--compare` report; a file that is missing, is no JSON object, or
+    whose `accuracy` sections do not map names to objects with a numeric (or
+    null) `accuracy` is a config error."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -387,11 +417,26 @@ def _load_baseline(path: str) -> RunReport:
         raise ConfigError(f"baseline report {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"baseline report {path}: top level must be an object")
+    accuracy = doc.get("accuracy", {})
+    if not isinstance(accuracy, dict):
+        raise ConfigError(f"baseline report {path}: accuracy must be an object")
+    sections = {}
+    for section in ("by_split", "by_category"):
+        entries = sections[section] = accuracy.get(section, {})
+        if not isinstance(entries, dict) or not all(
+            isinstance(entry, dict)
+            and (entry.get("accuracy") is None or _is_number(entry["accuracy"]))
+            for entry in entries.values()
+        ):
+            raise ConfigError(
+                f"baseline report {path}: accuracy.{section} must map names to "
+                "objects whose accuracy is a number or null"
+            )
     return RunReport(
         config=doc.get("config", {}),
         items=[],
         counts=doc.get("counts", {}),
-        accuracy=doc.get("accuracy", {"overall": None, "by_split": {}, "by_category": {}}),
+        accuracy={"overall": accuracy.get("overall"), **sections},
         token_stats=doc.get("token_stats", {}),
         memory_versions=doc.get("memory_versions", {}),
     )

@@ -20,6 +20,7 @@ from .errors import GcagentError, ManifestError, StageError, UnparseableAnswer
 from .memory import MemoryParams, MemoryStore, VideoSession, check_minimums, reflect
 from .perception import PerceptionParams, PerceptionResult, Query, perceive
 from .reasoning import ActionResult, EvidenceConfig, act, assemble_evidence
+from .text import needle
 from .transcript import Transcript, count_tokens, load_transcript
 
 SPLITS = ("short", "medium", "long")
@@ -283,17 +284,13 @@ class Outcome:
     perception: PerceptionResult
     request: ChatRequest
     result: ActionResult | None
-    memory_block: str
-    memory_tokens: int
+    memory_tokens: int  # the whole memory's footprint, not what was sent
 
     def prompt_tokens(self) -> int:
         """`count_tokens(self.request.text_payload()).count`, summed per
-        part: the payload joins its parts with whitespace, and the session's
-        memory block is its counted text plus the two markers."""
+        part: the payload joins its parts with whitespace."""
         return sum(
-            self.memory_tokens + 2
-            if part.text is self.memory_block
-            else count_tokens(part.text).count
+            count_tokens(part.text).count
             for part in self.request.user_parts
             if isinstance(part, TextPart)
         )
@@ -307,13 +304,16 @@ def answer(
     dry_run: bool = False,
 ) -> Outcome:
     """Perceive, assemble, act and, when `config.reflect` is set, reflect
-    and commit the new memory version through the session. The session
-    renders the memory block for perception and assembly and counts its
-    text in `memory_tokens`; reflection renders only its target episode.
-    With `dry_run` the request is assembled but neither acted on nor
-    reflected (`result` is None). Stage failures carry the stage name."""
+    and commit the new memory version through the session. Perception and
+    assembly send the context the session retrieves for the query under
+    `config.perception_params.context_budget`; reflection renders only its
+    target episode. `memory_tokens` counts the whole memory. With `dry_run`
+    the request is assembled but neither acted on nor reflected (`result`
+    is None). Stage failures carry the stage name."""
     transcript, memory = session.transcript, session.memory
-    block, memory_tokens = session.memory_block()
+    context = session.context(
+        needle(query.text, query.options), config.perception_params.context_budget
+    )
     perception = _staged(
         "perception",
         perceive,
@@ -323,7 +323,7 @@ def answer(
         backends.manager,
         config.perception_params,
         config.templates,
-        memory_block=block,
+        context=context,
     )
     request = _staged(
         "assemble",
@@ -335,9 +335,9 @@ def answer(
         perception,
         config.perception_params.max_frames,
         config.templates,
-        memory_block=block,
+        context=context,
     )
-    outcome = Outcome(perception, request, None, block, memory_tokens)
+    outcome = Outcome(perception, request, None, session.memory_tokens())
     if dry_run:
         return outcome
     outcome.result = _staged("action", act, query, request, backends.reasoner)

@@ -30,7 +30,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -42,6 +42,7 @@ from .backend import (
     TextPart,
     answer_field,
     complete_text,
+    encodable,
     render_template,
 )
 from .errors import (
@@ -55,16 +56,18 @@ from .errors import (
 )
 from .prompts import (
     SYSTEM_MEMORY_MANAGER,
+    clean_field,
     format_episode_line,
     format_note_line,
     format_options,
     format_speech_line,
     lookup_template,
     rendered_transcript_block,
+    transcript_block,
     units_block,
     wrap_block,
 )
-from .text import truncate_tokens
+from .text import Postings, overlaps, postings, truncate_tokens
 from .transcript import Transcript, count_tokens, load_transcript, read_source, transcript_digest
 
 NARRATIVE_ROLES = ("introduction", "development", "conflict", "resolution", "other")
@@ -240,16 +243,6 @@ class EpisodeDraft:
     line_range: tuple[int, int]
     summary: str
     entities: tuple[str, ...]
-
-
-def _encodable(text: str) -> bool:
-    """Whether `text` can be written as UTF-8. A lone surrogate, which
-    `json.loads` reads from an escape such as `\\ud800`, cannot."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def segment_events(
@@ -443,7 +436,7 @@ def abstract_schema(
     for k in range(len(units)):
         entry = entries[k] if k < len(entries) and isinstance(entries[k], dict) else {}
         summary = entry.get("summary")
-        if not isinstance(summary, str) or not summary.strip() or not _encodable(summary):
+        if not isinstance(summary, str) or not summary.strip() or not encodable(summary):
             raise EmptySummary(
                 f"unit {first_ordinal + k}: backend returned no usable summary"
             )
@@ -452,7 +445,7 @@ def abstract_schema(
             entities = []
         # first occurrence order, without duplicates
         kept = dict.fromkeys(
-            item for item in entities if isinstance(item, str) and item and _encodable(item)
+            item for item in entities if isinstance(item, str) and item and encodable(item)
         )
         out.append((" ".join(summary.split()), tuple(kept)))
     return out
@@ -659,7 +652,7 @@ def reflect(
         },
     )
     summary = answer_field(complete_text(backend, request), "summary", str)
-    if summary is None or not summary.strip() or not _encodable(summary):
+    if summary is None or not summary.strip() or not encodable(summary):
         raise BackendFailure("reflection returned no usable summary; memory unchanged")
     new_version = memory.version + 1
     note = ReflectionNote(
@@ -876,6 +869,41 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 # --- store ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Context:
+    """What the Memory Manager sends for one question (`VideoSession.context`):
+    the `<transcript>` block for perception, and the episodes, in episode
+    order, whose lines make the `<memory>` block of perception and action."""
+
+    transcript_block: str
+    episodes: tuple[Episode, ...]
+    memory_block: str  # narrative form, with notes
+
+    def schematic_block(self) -> str:
+        """The `<memory>` block of the same episodes without roles and links."""
+        texts = (_episode_text(ep, include_narrative=False) for ep in self.episodes)
+        return wrap_block("memory", "\n".join(texts))
+
+
+def _ranked(tokens: set[str], index: Postings) -> list[int]:
+    """The positions sharing at least one of `tokens`, the most distinct
+    ones first, ties to the lower position."""
+    counts = overlaps(tokens, index)
+    return sorted(counts, key=lambda pos: (-counts[pos], pos))
+
+
+def _fit(order, sizes: Sequence[int], budget: int) -> list[int]:
+    """The longest prefix of `order` whose `sizes` sum to at most `budget`,
+    in ascending position order."""
+    kept, used = [], 0
+    for pos in order:
+        used += sizes[pos]
+        if used > budget:
+            break
+        kept.append(pos)
+    return sorted(kept)
+
+
 @dataclass(eq=False)
 class VideoSession:
     """One video's warm state for answering questions: the parsed transcript
@@ -888,12 +916,16 @@ class VideoSession:
 
     The session also keeps the file bytes it last serialized, with the size
     of each episode's UTF-8 JSON item in them, and, from the first
-    `memory_block` call on, each episode's memory-text lines and their token
-    count. A new memory version re-renders only the episodes that are new
-    objects (`reflect` replaces exactly one) and copies the rest. After a
-    store write, `memory_bytes` and the serialized file are one object.
-    The caches go with the memory they belong to when it is parsed again,
-    rebuilt, or the video changes."""
+    `memory_tokens` or `context` call on, each episode's memory-text lines
+    and their token count. A new memory version re-renders only the
+    episodes that are new objects (`reflect` replaces exactly one) and
+    copies the rest. After a store write, `memory_bytes` and the serialized
+    file are one object. From the first `context` call on, it also keeps
+    the retrieval indexes: content token -> transcript lines (with each
+    rendered line's token count) and content token -> episodes. A
+    reflection keeps the episode index, as it changes no summary. The
+    caches go with the transcript or memory they belong to when it is
+    parsed again, rebuilt, or the video changes."""
 
     transcript: Transcript | None = None
     memory: EpisodicMemory | None = None
@@ -913,6 +945,10 @@ class VideoSession:
     _episodes: tuple[Episode, ...] = field(default=(), repr=False)
     _text: list[str] | None = field(default=None, repr=False)
     _tokens: list[int] | None = field(default=None, repr=False)
+    # the retrieval indexes: the transcript indexed, its lines' postings and
+    # token counts; the postings of the episodes' summaries as rendered
+    _lines: tuple[Transcript, Postings, list[int]] | None = field(default=None, repr=False)
+    _summaries: Postings | None = field(default=None, repr=False)
 
     def commit(self, memory: EpisodicMemory) -> None:
         """Make `memory` the current version and write it out."""
@@ -923,24 +959,32 @@ class VideoSession:
         if self.memory is not memory:  # the store records it in its thread's session only
             self.memory, self.memory_bytes = memory, None
 
+    def drop_transcript(self) -> None:
+        """Forget the transcript and its line index."""
+        self.transcript = self.source_bytes = self._lines = None
+
     def drop_memory(self) -> None:
         """Forget the memory and everything rendered from it."""
         self.memory, self.memory_bytes = None, None
         self._file, self._file_episodes, self._sizes = b"", (), []
-        self._episodes, self._text, self._tokens = (), None, None
+        self._episodes, self._text, self._tokens, self._summaries = (), None, None, None
 
     def _sync(self, memory: EpisodicMemory) -> None:
-        """Bring the memory-text cache up to `memory`."""
+        """Bring the memory-text cache and the episode index up to `memory`."""
         episodes, old = memory.episodes, self._episodes
         if episodes is old:
             return
         if len(episodes) != len(old):
-            self._text = self._tokens = None
-        elif self._text is not None:
+            self._text = self._tokens = self._summaries = None
+        else:
             for i, ep in enumerate(episodes):
-                if ep is not old[i]:
+                if ep is old[i]:
+                    continue
+                if self._text is not None:
                     self._text[i] = text = _episode_text(ep)
                     self._tokens[i] = count_tokens(text).count
+                if ep.schematic_summary != old[i].schematic_summary:
+                    self._summaries = None
         self._episodes = episodes
 
     def serialize(self, memory: EpisodicMemory) -> bytes:
@@ -971,14 +1015,71 @@ class VideoSession:
         self._file, self._file_episodes, self._sizes = data, episodes, sizes
         return data
 
-    def memory_block(self) -> tuple[str, int]:
-        """`wrap_block("memory", memory_text(self.memory))` and the token
-        count of that text, re-rendering only changed episodes."""
+    def _texts(self) -> tuple[list[str], list[int]]:
+        """Each episode's `memory_text` lines and their token count,
+        re-rendering only changed episodes."""
         self._sync(self.memory)
         if self._text is None:
             self._text = [_episode_text(ep) for ep in self.memory.episodes]
             self._tokens = [count_tokens(text).count for text in self._text]
-        return wrap_block("memory", "\n".join(self._text)), sum(self._tokens)
+        return self._text, self._tokens
+
+    def memory_tokens(self) -> int:
+        """`memory_token_count(self.memory)`: the whole memory's footprint."""
+        return sum(self._texts()[1])
+
+    def line_index(self) -> tuple[Postings, list[int]]:
+        """The postings of the transcript's lines (positions count from 0)
+        and each line's token count as `format_speech_line` renders it."""
+        if self._lines is None or self._lines[0] is not self.transcript:
+            self._lines = None  # drop the stale index before building
+            lines = self.transcript.lines
+            counts = [count_tokens(format_speech_line(line)).count for line in lines]
+            self._lines = (self.transcript, postings(line.text for line in lines), counts)
+        return self._lines[1], self._lines[2]
+
+    def episode_index(self) -> Postings:
+        """The postings of the episodes' schematic summaries as the memory
+        block renders them."""
+        self._sync(self.memory)
+        if self._summaries is None:
+            self._summaries = postings(
+                clean_field(ep.schematic_summary) for ep in self.memory.episodes
+            )
+        return self._summaries
+
+    def context(self, needle: set[str], budget: int) -> Context:
+        """The context for a question whose query and options hold the
+        content tokens `needle`, each block at most `budget` tokens besides
+        its two markers.
+
+        The transcript block is the whole `transcript.block` when its lines
+        fit; else the lines sharing a needle token, the most distinct ones
+        first (ties to the lower index), kept while their running token
+        count fits, rendered in index order. The memory is the whole memory
+        when its text fits; else the episodes whose summary shares a needle
+        token, ranked the same way, then the one-hop `causal_links` targets
+        of those episodes, kept while they fit, rendered in episode order
+        with their notes."""
+        transcript, memory = self.transcript, self.memory
+        line_index, line_tokens = self.line_index()
+        if sum(line_tokens) <= budget:
+            block = transcript.block
+        else:
+            kept = _fit(_ranked(needle, line_index), line_tokens, budget)
+            block = transcript_block(transcript.lines[i] for i in kept)
+        texts, tokens = self._texts()
+        episodes = memory.episodes
+        if sum(tokens) <= budget:
+            return Context(block, episodes, wrap_block("memory", "\n".join(texts)))
+        ranked = _ranked(needle, self.episode_index())
+        hops = (link.target_id for pos in ranked for link in episodes[pos].causal_links)
+        kept = _fit(dict.fromkeys(chain(ranked, hops)), tokens, budget)
+        return Context(
+            block,
+            tuple(episodes[i] for i in kept),
+            wrap_block("memory", "\n".join(texts[i] for i in kept)),
+        )
 
 
 class MemoryStore:
@@ -1033,7 +1134,7 @@ class MemoryStore:
         data = read_source(source)
         key = (source, video_duration_s)
         if session.transcript is None or session.source != key or session.source_bytes != data:
-            session.transcript = session.source_bytes = None
+            session.drop_transcript()
             session.transcript = load_transcript(source, video_duration_s, data=data)
             session.source, session.source_bytes = key, data
         return session

@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveDuration,
     NoRelevantContentWarning,
 )
-from .memory import EpisodicMemory, check_minimums, memory_text
+from .memory import Context, EpisodicMemory, check_minimums, memory_text
 from .prompts import (
     SYSTEM_MEMORY_MANAGER,
     format_options,
@@ -73,6 +73,9 @@ class PerceptionParams:
     pad_s: float = 2.0
     merge_window_s: float = 10.0
     max_frames: int = DEFAULT_MAX_FRAMES
+    # the most tokens of transcript lines, or of memory episodes with their
+    # notes, one prompt block carries (`VideoSession.context`)
+    context_budget: int = 2048
 
     def __post_init__(self):
         check_minimums(
@@ -82,6 +85,7 @@ class PerceptionParams:
                 ("pad_s", (int, float), 0),
                 ("merge_window_s", (int, float), 0),
                 ("max_frames", int, 1),
+                ("context_budget", int, 1),
             ),
         )
 
@@ -234,25 +238,29 @@ def perceive(
     backend: Backend,
     params: PerceptionParams = PerceptionParams(),
     templates: Mapping[str, PromptTemplate] | None = None,
-    memory_block: str | None = None,
+    context: Context | None = None,
 ) -> PerceptionResult:
-    """Retrieve query-relevant spans plus the clip plan for them.
-    `memory_block` is `wrap_block("memory", memory_text(memory))` when the
-    caller has it."""
+    """Retrieve query-relevant spans plus the clip plan for them. The prompt
+    carries `context`'s transcript and memory blocks, the context the
+    session retrieved for this query; without one, the whole transcript and
+    the whole memory."""
     if memory.source_digest != transcript_digest(transcript):
         raise DigestMismatch("memory was built from a different transcript")
     if not transcript.lines:
         raise EmptyTranscript("cannot perceive over an empty transcript")
     duration = transcript.duration_s
-    if memory_block is None:
+    if context is None:
+        transcript_block = transcript.block
         memory_block = wrap_block("memory", memory_text(memory))
+    else:
+        transcript_block, memory_block = context.transcript_block, context.memory_block
     body = render_template(
         lookup_template(templates, "perception"),
         {
             "query": " ".join(query.text.split()),
             "options": format_options(query.options),
             "memory": memory_block,
-            "transcript": transcript.block,
+            "transcript": transcript_block,
         },
     )
     request = ChatRequest(

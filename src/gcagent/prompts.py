@@ -101,7 +101,7 @@ def parse_units_block(inner: str) -> list[tuple[int, int, int]]:
 
 # --- episode listing ------------------------------------------------------------
 
-def _clean_field(value: str) -> str:
+def clean_field(value: str) -> str:
     # keep the one-line pipe-delimited episode format unambiguous
     return " ".join(value.replace("|", "/").split())
 
@@ -117,7 +117,7 @@ def format_episode_line(
     fields = [f"{episode_id}", f"{start_s:.2f}-{end_s:.2f}"]
     if role is not None:
         fields.append(role)
-    fields.append(_clean_field(summary))
+    fields.append(clean_field(summary))
     if role is not None:
         rendered = ",".join(f"{rel}->{target}" for rel, target in (links or ())) or "none"
         fields.append(rendered)
@@ -125,7 +125,7 @@ def format_episode_line(
 
 
 def format_note_line(created_version: int, answer_id: str, summary: str) -> str:
-    return f"  note v{created_version} ({answer_id}): {_clean_field(summary)}"
+    return f"  note v{created_version} ({answer_id}): {clean_field(summary)}"
 
 
 def parse_episode_lines(inner: str) -> list[dict]:

@@ -30,7 +30,7 @@ from .errors import (
     MissingPerception,
     UnparseableAnswer,
 )
-from .memory import EpisodicMemory, memory_text
+from .memory import Context, EpisodicMemory, memory_text
 from .perception import DEFAULT_MAX_FRAMES, PerceptionResult, uniform_clip
 from .prompts import (
     SYSTEM_REASONER,
@@ -126,20 +126,22 @@ def assemble_evidence(
     perception: PerceptionResult | None = None,
     max_frames: int = DEFAULT_MAX_FRAMES,
     templates: Mapping[str, PromptTemplate] | None = None,
-    memory_block: str | None = None,
+    context: Context | None = None,
 ) -> ChatRequest:
     """Build the reasoning request. Block order is fixed: memory, then
-    transcript, then frames, then the question. `memory_block` is
-    `wrap_block("memory", memory_text(memory))` when the caller has it."""
+    transcript, then frames, then the question. The memory block holds the
+    episodes of `context`, the context the session retrieved for this
+    query; without one, the whole memory. The full-transcript block is
+    always the whole transcript."""
     if config.needs_perception() and perception is None:
         raise MissingPerception(f"config {config.to_dict()} requires perception output")
     parts: list = []
     if config.memory != "none":
         narrative = config.memory == "schematic_plus_narrative"
-        if narrative and memory_block is not None:
-            block = memory_block
-        else:
+        if context is None:
             block = wrap_block("memory", memory_text(memory, include_narrative=narrative))
+        else:
+            block = context.memory_block if narrative else context.schematic_block()
         parts.append(TextPart(block))
     if config.text == "full_transcript":
         parts.append(TextPart(transcript.block))

@@ -39,13 +39,16 @@ reading the same prompts a live model would receive:
 Every response is a pure function of the request, so identical requests
 produce byte-identical responses. Per thread, the backend keeps an index
 (posting lists from content token to positions) of the last ``<transcript>``
-block perception read and of the episode lines of the last ``<memory>``
-block action read, keyed by that text itself and reused while the next
-block is equal to it (``==``, no hash). An unchanged block is thus parsed
-and tokenized once, not on every question; reflection notes, which change
-with every answered question, are not part of the memory key. Action reuses
-perception's transcript index when its ``<transcript>`` block is that same
-block (the full-transcript compositions). The index changes no response.
+block perception read, of the last ``<transcript>`` block action read and
+of the episode lines of the last ``<memory>`` block action read, each keyed
+by that text itself and reused while the next block is equal to it (``==``,
+no hash). An unchanged block, such as the whole transcript of a
+full-transcript composition, is thus parsed and tokenized once, not on every
+question; reflection notes, which change with every answered question, are
+not part of the memory key. Action reuses perception's transcript index
+when its ``<transcript>`` block is that same block (a full-transcript
+composition on a video whose transcript fits the context budget). The index
+changes no response.
 """
 
 from __future__ import annotations
@@ -53,10 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import sys
 import threading
-from collections import Counter
-from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .backend import BackendProfile, ChatRequest, ChatResponse
@@ -70,7 +70,16 @@ from .prompts import (
     parse_units_block,
     transcript_row_text,
 )
-from .text import capitalized_entities, content_tokens, raw_tokens, truncate_tokens
+from .text import (
+    Postings,
+    capitalized_entities,
+    content_tokens,
+    needle,
+    overlaps,
+    postings,
+    raw_tokens,
+    truncate_tokens,
+)
 
 
 REFERS_BACK_LIMIT = 8  # refers_back links per episode, at most
@@ -78,7 +87,6 @@ REFERS_BACK_LIMIT = 8  # refers_back links per episode, at most
 _json_str = json.encoder.encode_basestring  # a string as json.dumps(ensure_ascii=False) writes it
 _ORDINAL = re.compile("Event [0-9]+:")  # the head of every abstraction summary
 _CONFLICT_SCREEN = re.compile("|".join(map(re.escape, sorted(CONFLICT_LEXICON))))
-_Postings = dict[str, tuple[int, ...]]  # content token -> ascending positions
 # a line that parse_episode_lines skips (not starting with 「), with the newline before it
 _NON_EPISODE_LINE = re.compile("\n(?!「)[^\n]*")
 
@@ -88,47 +96,18 @@ def pick_best_option(scores: Mapping[str, float]) -> str:
     return min(scores, key=lambda label: (-scores[label], label))
 
 
-def _needle(query: str, options: Sequence[tuple[str, str]]) -> set[str]:
-    """The distinct content tokens of the query and every option text."""
-    needle = set(content_tokens(query))
-    for _, option_text in options:
-        needle.update(content_tokens(option_text))
-    return needle
-
-
-def _postings(texts: Iterable[str]) -> _Postings:
-    """Each distinct content token -> the ascending positions of the texts
-    that contain it."""
-    postings: dict[str, list[int]] = {}
-    for pos, text in enumerate(texts):
-        for tok in set(content_tokens(text)):
-            hits = postings.get(tok)
-            if hits is None:
-                # interned, so the transcript and memory indexes share their keys
-                postings[sys.intern(tok)] = [pos]
-            else:
-                hits.append(pos)
-    return {tok: tuple(hits) for tok, hits in postings.items()}  # no spare list capacity
-
-
-def _overlaps(needle: Iterable[str], postings: _Postings) -> Counter:
-    """Position -> how many distinct needle tokens its text holds, for every
-    position holding at least one."""
-    return Counter(chain.from_iterable(postings.get(tok, ()) for tok in needle))
-
-
-def _best(needle: Iterable[str], postings: _Postings, keys: Sequence[int]) -> int:
-    """The position sharing the most distinct tokens with `needle`; ties,
-    and the case where no position shares any, go to the lowest key, then
-    the lowest position. `keys` is not empty."""
-    counts = _overlaps(needle, postings)
+def _best(tokens: Iterable[str], index: Postings, keys: Sequence[int]) -> int:
+    """The position sharing the most distinct `tokens`; ties, and the case
+    where no position shares any, go to the lowest key, then the lowest
+    position. `keys` is not empty."""
+    counts = overlaps(tokens, index)
     return min(counts or range(len(keys)), key=lambda pos: (-counts[pos], keys[pos], pos))
 
 
-def _transcript_index(block: str) -> tuple[list[int], _Postings]:
+def _transcript_index(block: str) -> tuple[list[int], Postings]:
     """The `[idx]` of each transcript row, and the rows' postings."""
     rows = parse_transcript_block(block)
-    return [idx for idx, _, _, _ in rows], _postings(text for _, _, _, text in rows)
+    return [idx for idx, _, _, _ in rows], postings(text for _, _, _, text in rows)
 
 
 def _episode_listing(memory: str) -> str:
@@ -142,10 +121,10 @@ def _episode_listing(memory: str) -> str:
     return listing[cut + 1 :] if cut >= 0 else ""
 
 
-def _memory_index(listing: str) -> tuple[list[str], _Postings]:
+def _memory_index(listing: str) -> tuple[list[str], Postings]:
     """The summary of each episode line, and the summaries' postings."""
     summaries = [ep["summary"] for ep in parse_episode_lines(listing)]
-    return summaries, _postings(summaries)
+    return summaries, postings(summaries)
 
 
 def _summary_body(summary: str) -> str:
@@ -198,8 +177,9 @@ class ReferenceBackend:
 
     def __init__(self, multimodal: bool = True, name: str = "reference"):
         self.profile = BackendProfile(name=name, multimodal=multimodal, deterministic=True)
-        # per thread: the index of the last transcript block and episode listing
-        # read, so threads sharing one backend do not evict each other's
+        # per thread: the index of the last transcript block each of perception
+        # and action read and of the last episode listing action read, so
+        # threads sharing one backend do not evict each other's
         self._slots = threading.local()
 
     # -- dispatch ---------------------------------------------------------
@@ -310,11 +290,11 @@ class ReferenceBackend:
 
     def _perceive(self, request: ChatRequest, payload: str) -> str:
         top_k = int(request.context.get("top_k", 5))
-        needle = _needle(*parse_question_block(extract_block(payload, "question") or ""))
-        idx, postings = self._cached(
+        wanted = needle(*parse_question_block(extract_block(payload, "question") or ""))
+        idx, index = self._cached(
             "transcript", extract_block(payload, "transcript") or "", _transcript_index
         )
-        scored = sorted((-score, idx[pos]) for pos, score in _overlaps(needle, postings).items())
+        scored = sorted((-score, idx[pos]) for pos, score in overlaps(wanted, index).items())
         hits = sorted(i for _, i in scored[:top_k])
         return json.dumps({"line_indices": hits})
 
@@ -324,12 +304,8 @@ class ReferenceBackend:
         slot = getattr(self._slots, "transcript", None)
         if slot is not None and slot[0] == block:  # perception's block: reuse its index
             keys, row_postings = slot[1]
-            rows = None
         else:
-            # an excerpt changes with every question, so it is parsed directly
-            # and leaves perception's slot as it is
-            rows = parse_transcript_block(block)
-            keys, row_postings = [idx for idx, _, _, _ in rows], _postings(r[3] for r in rows)
+            keys, row_postings = self._cached("action_transcript", block, _transcript_index)
         listing = _episode_listing(extract_block(payload, "memory") or "")
         summaries, summary_postings = self._cached("memory", listing, _memory_index)
         scores = {
@@ -344,13 +320,13 @@ class ReferenceBackend:
         if not scores:
             return "Answer: (?)"
         best = pick_best_option(scores)
-        needle = _needle(query, options)
+        wanted = needle(query, options)
         evidence = ""
         if keys:
-            pos = _best(needle, row_postings, keys)
-            evidence = transcript_row_text(block, pos) if rows is None else rows[pos][3]
+            pos = _best(wanted, row_postings, keys)
+            evidence = transcript_row_text(block, pos)
         elif summaries:
-            evidence = summaries[_best(needle, summary_postings, range(len(summaries)))]
+            evidence = summaries[_best(wanted, summary_postings, range(len(summaries)))]
         return f"Answer: ({best})\nEvidence: {evidence or 'No textual evidence available.'}"
 
     def _cached(self, kind: str, block: str, build: Callable[[str], tuple]) -> tuple:

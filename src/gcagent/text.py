@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import string
+import sys
+from collections import Counter
+from itertools import chain
+from typing import Iterable, Sequence
 
 # ~50 English function words. Small on purpose: retrieval scoring only needs
 # to ignore glue words, not model language.
@@ -32,6 +36,38 @@ def content_tokens(text: str) -> list[str]:
         for raw in text.lower().split()
         if (tok := raw.strip(_EDGE_CHARS)) and tok not in STOPWORDS
     ]
+
+
+def needle(query: str, options: Sequence[tuple[str, str]]) -> set[str]:
+    """The distinct content tokens of the query and every option text."""
+    tokens = set(content_tokens(query))
+    for _, option_text in options:
+        tokens.update(content_tokens(option_text))
+    return tokens
+
+
+Postings = dict[str, tuple[int, ...]]  # content token -> ascending positions
+
+
+def postings(texts: Iterable[str]) -> Postings:
+    """Each distinct content token -> the ascending positions of the texts
+    that contain it."""
+    hits_of: dict[str, list[int]] = {}
+    for pos, text in enumerate(texts):
+        for tok in set(content_tokens(text)):
+            hits = hits_of.get(tok)
+            if hits is None:
+                # interned, so indexes of different texts share their keys
+                hits_of[sys.intern(tok)] = [pos]
+            else:
+                hits.append(pos)
+    return {tok: tuple(hits) for tok, hits in hits_of.items()}  # no spare list capacity
+
+
+def overlaps(tokens: Iterable[str], index: Postings) -> Counter:
+    """Position -> how many distinct `tokens` its text holds, for every
+    position holding at least one."""
+    return Counter(chain.from_iterable(index.get(tok, ()) for tok in tokens))
 
 
 def raw_tokens(text: str) -> list[str]:

@@ -9,10 +9,12 @@ from gcagent.backend import (
     PromptTemplate,
     TextPart,
     complete,
+    complete_text,
     load_template_file,
     render_template,
 )
 from gcagent.errors import (
+    BackendFailure,
     CapabilityMismatch,
     InvariantViolation,
     RateLimited,
@@ -173,6 +175,18 @@ class TestHttpBackend:
             )
             with pytest.raises(Rejected):
                 backend.complete(request)
+
+
+def test_unwritable_answer_is_backend_failure():
+    """An answer holding a lone surrogate, which a JSON response body can
+    carry as an escape, fails the call rather than reaching a report."""
+    request = ChatRequest(system="s", user_parts=(TextPart("q"),))
+    with FakeChatServer() as server:
+        server.script = [(200, "Answer: (A) \ud800")]
+        backend = HttpBackend(server.url, "m", max_retries=0)
+        assert complete(backend, request).text.endswith("\ud800")
+        with pytest.raises(BackendFailure, match="UTF-8"):
+            complete_text(backend, request)
 
 
 def test_template_loadable_from_file(tmp_path):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+import gcagent.cli
 from gcagent.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from gcagent.harness import BackendPair
 from gcagent.memory import load_memory
+from gcagent.reference import ReferenceBackend
 
 from conftest import FIXTURES
 
@@ -243,6 +247,43 @@ class TestEval:
         assert err.startswith(f"gcagent: config error: baseline report {base}")
         assert "Traceback" not in err
 
+    def test_baseline_with_misshapen_accuracy_is_usage_error(self, tmp_path, capsys):
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps({"accuracy": {"by_split": []}}))
+        out = tmp_path / "r.json"
+        code = run_cli("--config", f"memory_dir={tmp_path / 'mem'}",
+                       "--reference", "eval", MANIFEST, "--out", str(out),
+                       "--compare", str(base))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcagent: config error: baseline report {base}: accuracy.by_split")
+        assert not out.exists()  # checked before the eval runs
+
+    def test_unwritable_action_answer_still_writes_the_report(self, tmp_path, capsys, monkeypatch):
+        """A live answer holding a lone surrogate is that item's backend
+        error, so `eval --no-reflect` still writes its report."""
+
+        class Surrogate(ReferenceBackend):
+            def complete(self, request):
+                response = super().complete(request)
+                if request.context.get("stage") == "action":
+                    return dataclasses.replace(response, text=response.text + " \ud800")
+                return response
+
+        backend = Surrogate()
+        monkeypatch.setattr(
+            gcagent.cli, "_build_backends",
+            lambda cfg, force_reference=False: BackendPair(manager=backend, reasoner=backend),
+        )
+        out = tmp_path / "r.json"
+        code = run_cli("--config", f"memory_dir={tmp_path / 'mem'}",
+                       "eval", MANIFEST, "--no-reflect", "--out", str(out))
+        assert code == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["counts"]["errors"] == report["counts"]["total"] == 13
+        assert {item["stage"] for item in report["items"]} == {"action"}
+        assert "UTF-8" in report["items"][0]["error"]
+
     def test_empty_manifest_exits_1(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n")
@@ -419,7 +460,16 @@ class TestUsage:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize(
-        "override", ["top_k=-1", "top_k=0", "pad_s=-1", "merge_window_s=-0.5", "max_frames=0"]
+        "override",
+        [
+            "top_k=-1",
+            "top_k=0",
+            "pad_s=-1",
+            "merge_window_s=-0.5",
+            "max_frames=0",
+            "context_budget=0",
+            "context_budget=1.5",
+        ],
     )
     def test_out_of_range_perception_value_is_usage_error(self, override, capsys):
         code = run_cli("--config", override, "eval", MANIFEST)
@@ -457,6 +507,40 @@ class TestUsage:
         assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "config error:" in err and "bogus" in err
+
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("timeout_s", "x"),
+            ("timeout_s", 0),
+            ("timeout_s", True),
+            ("max_retries", "x"),
+            ("max_retries", -1),
+            ("max_retries", 1.5),
+            ("endpoint", 1),
+        ],
+    )
+    @pytest.mark.parametrize("role", ["manager", "reasoner"])
+    def test_bad_role_setting_is_usage_error(self, tmp_path, capsys, role, setting, value):
+        roles = {
+            r: {"endpoint": "http://127.0.0.1:9/v1", "model": r} for r in ("manager", "reasoner")
+        }
+        roles[role][setting] = value
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"reference": False, **roles}))
+        assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcagent: config error: {role}.{setting} must be")
+
+    @pytest.mark.parametrize(
+        "override", ["memory_dir=1", "memory_dir=true", "templates_dir=1", "templates_dir=2.5"]
+    )
+    def test_bad_directory_setting_is_usage_error(self, tmp_path, capsys, override):
+        code = run_cli("--config", override, "--reference", "eval", MANIFEST,
+                       "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcagent: config error: {override.split('=')[0]} must be")
 
     @pytest.mark.parametrize("section", ["manager", "reasoner", "perception", "memory", "evidence"])
     @pytest.mark.parametrize("value", [1, [], None])

@@ -532,11 +532,24 @@ def test_action_reuses_perceptions_transcript_index(parse_calls):
         backend.complete(_request("perception", QUESTION, full, [], top_k=1))
         backend.complete(_request("action", QUESTION, full, []))
     assert parse_calls["transcript"] == 1  # perception's first request only
-    # an excerpt is parsed directly and leaves perception's slot in place
+    # an excerpt is indexed in action's own slot and leaves perception's in place
     for _ in range(2):
         assert backend.complete(_request("action", QUESTION, excerpt, [])).text == _act_oracle(
             QUESTION, excerpt, []
         )
-    assert parse_calls["transcript"] == 3
+    assert parse_calls["transcript"] == 2
     backend.complete(_request("action", QUESTION, full, []))
-    assert parse_calls["transcript"] == 3
+    assert parse_calls["transcript"] == 2
+
+
+def test_action_keeps_its_own_transcript_index(parse_calls):
+    """A whole transcript that perception was not sent (it got a retrieved
+    block per question) is parsed once by action across questions."""
+    backend = ReferenceBackend()
+    full = ["[1] 0.00-1.00: crimson river", "[2] 1.00-2.00: palette stone", "[3] 2.00-3.00: river"]
+    for k in range(3):
+        backend.complete(_request("perception", QUESTION, full[k : k + 1], [], top_k=1))
+        assert backend.complete(_request("action", QUESTION, full, [])).text == _act_oracle(
+            QUESTION, full, []
+        )
+    assert parse_calls["transcript"] == 3 + 1  # each perception block, the whole one once

@@ -206,7 +206,10 @@ def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, mo
 def _assert_session_renders(session: VideoSession) -> None:
     """What the session renders equals the one-shot functions."""
     text = memory_text(session.memory)
-    assert session.memory_block() == (wrap_block("memory", text), count_tokens(text).count)
+    whole = session.context(set(), sys.maxsize)  # a budget larger than any video
+    assert whole.memory_block == wrap_block("memory", text)
+    assert whole.episodes == session.memory.episodes
+    assert session.memory_tokens() == count_tokens(text).count
     assert session.serialize(session.memory) == save_memory(session.memory)
 
 

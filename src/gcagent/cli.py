@@ -219,8 +219,6 @@ def _load_templates(cfg: dict) -> dict | None:
 
 def _build_backends(cfg: dict, force_reference: bool = False) -> BackendPair:
     if cfg["reference"] or force_reference:
-        # one backend for both roles, so action can reuse perception's index
-        # of a whole transcript that fits the context budget
         reference = ReferenceBackend()
         return BackendPair(manager=reference, reasoner=reference)
     backends = {}
@@ -448,12 +446,15 @@ def cmd_stats(args, cfg: dict) -> int:
         store = MemoryStore(args.memory_dir or cfg["memory_dir"])
         backends = _build_backends(cfg)
         params = MemoryParams(**cfg["memory"])
+        templates = _load_templates(cfg)
         videos = {}
         for item in sorted(items, key=lambda it: it.question_id):
             if item.video_id in videos:
                 continue
             transcript = _item_transcript(item)
-            memory = store.get_or_build(item.video_id, transcript, backends.manager, params)
+            memory = store.get_or_build(
+                item.video_id, transcript, backends.manager, params, templates
+            )
             videos[item.video_id] = (
                 item.duration_s, transcript.token_count, memory_token_count(memory)
             )
@@ -472,6 +473,8 @@ def cmd_stats(args, cfg: dict) -> int:
     if not args.memory:
         raise ConfigError("provide --memory FILE (or --manifest)")
     memory = load_memory(read_source(args.memory))
+    if memory.source_digest != transcript_digest(transcript):
+        raise SchemaViolation(args.memory, "memory digest does not match the transcript")
     t_tokens = transcript.token_count
     m_tokens = memory_token_count(memory)
     stats = compute_token_stats(t_tokens, m_tokens)

@@ -9,7 +9,6 @@ requests a live model would receive.
 from __future__ import annotations
 
 import re
-from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .backend import PromptTemplate
@@ -77,12 +76,6 @@ def parse_transcript_block(inner: str) -> list[tuple[int, float, float, str]]:
         (int(idx), float(start), float(end), text)
         for idx, start, end, text in _LINE.findall(inner)
     ]
-
-
-def transcript_row_text(inner: str, k: int) -> str:
-    """The text of row `k` of `parse_transcript_block(inner)`, reading the
-    block only up to that row."""
-    return next(islice(_LINE.finditer(inner), k, None)).group(4)
 
 
 # --- unit listing -----------------------------------------------------------------

@@ -25,8 +25,8 @@ reading the same prompts a live model would receive:
   ties to the lowest position, targets ascending. The narrative response thus
   grows linearly with the number of units.
 - perception: per-line score is the number of distinct content tokens the
-  line shares with the query plus options; the top_k scoring lines win,
-  lower line indices on ties.
+  line shares with the query plus options; the top_k lines scoring above 0
+  win, lower line indices on ties.
 - action: picks the option with the greatest content-token overlap against
   the provided transcript excerpt and memory summaries (lowest label on
   ties). The evidence, scored the same way as perception scores lines, is
@@ -37,18 +37,8 @@ reading the same prompts a live model would receive:
 - reflection: summary is "(label) evidence" truncated to the token budget.
 
 Every response is a pure function of the request, so identical requests
-produce byte-identical responses. Per thread, the backend keeps an index
-(posting lists from content token to positions) of the last ``<transcript>``
-block perception read, of the last ``<transcript>`` block action read and
-of the episode lines of the last ``<memory>`` block action read, each keyed
-by that text itself and reused while the next block is equal to it (``==``,
-no hash). An unchanged block, such as the whole transcript of a
-full-transcript composition, is thus parsed and tokenized once, not on every
-question; reflection notes, which change with every answered question, are
-not part of the memory key. Action reuses perception's transcript index
-when its ``<transcript>`` block is that same block (a full-transcript
-composition on a video whose transcript fits the context budget). The index
-changes no response.
+produce byte-identical responses. The backend keeps no state between
+requests: each rule reads the blocks of the request it is handling.
 """
 
 from __future__ import annotations
@@ -56,8 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import threading
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backend import BackendProfile, ChatRequest, ChatResponse
 from .errors import CapabilityMismatch
@@ -68,15 +57,11 @@ from .prompts import (
     parse_question_block,
     parse_transcript_block,
     parse_units_block,
-    transcript_row_text,
 )
 from .text import (
-    Postings,
     capitalized_entities,
     content_tokens,
     needle,
-    overlaps,
-    postings,
     raw_tokens,
     truncate_tokens,
 )
@@ -87,8 +72,6 @@ REFERS_BACK_LIMIT = 8  # refers_back links per episode, at most
 _json_str = json.encoder.encode_basestring  # a string as json.dumps(ensure_ascii=False) writes it
 _ORDINAL = re.compile("Event [0-9]+:")  # the head of every abstraction summary
 _CONFLICT_SCREEN = re.compile("|".join(map(re.escape, sorted(CONFLICT_LEXICON))))
-# a line that parse_episode_lines skips (not starting with 「), with the newline before it
-_NON_EPISODE_LINE = re.compile("\n(?!「)[^\n]*")
 
 
 def pick_best_option(scores: Mapping[str, float]) -> str:
@@ -96,35 +79,14 @@ def pick_best_option(scores: Mapping[str, float]) -> str:
     return min(scores, key=lambda label: (-scores[label], label))
 
 
-def _best(tokens: Iterable[str], index: Postings, keys: Sequence[int]) -> int:
-    """The position sharing the most distinct `tokens`; ties, and the case
-    where no position shares any, go to the lowest key, then the lowest
-    position. `keys` is not empty."""
-    counts = overlaps(tokens, index)
-    return min(counts or range(len(keys)), key=lambda pos: (-counts[pos], keys[pos], pos))
-
-
-def _transcript_index(block: str) -> tuple[list[int], Postings]:
-    """The `[idx]` of each transcript row, and the rows' postings."""
-    rows = parse_transcript_block(block)
-    return [idx for idx, _, _, _ in rows], postings(text for _, _, _, text in rows)
-
-
-def _episode_listing(memory: str) -> str:
-    """The lines of a memory block's text that start with 「, joined by
-    newlines: all that `parse_episode_lines` reads of it."""
-    listing = _NON_EPISODE_LINE.sub("", memory)  # the text itself when nothing goes
-    if memory.startswith("「"):
-        return listing
-    # the first line has no newline before it: drop it and the one after it
-    cut = listing.find("\n")
-    return listing[cut + 1 :] if cut >= 0 else ""
-
-
-def _memory_index(listing: str) -> tuple[list[str], Postings]:
-    """The summary of each episode line, and the summaries' postings."""
-    summaries = [ep["summary"] for ep in parse_episode_lines(listing)]
-    return summaries, postings(summaries)
+def _best(wanted: set[str], token_sets: Sequence[set[str]], keys: Sequence[int]) -> int:
+    """The position whose token set shares the most of `wanted`; ties, and
+    the case where none shares any, go to the lowest key, then the lowest
+    position. `token_sets` is not empty."""
+    return min(
+        range(len(token_sets)),
+        key=lambda pos: (-len(wanted & token_sets[pos]), keys[pos], pos),
+    )
 
 
 def _summary_body(summary: str) -> str:
@@ -177,10 +139,6 @@ class ReferenceBackend:
 
     def __init__(self, multimodal: bool = True, name: str = "reference"):
         self.profile = BackendProfile(name=name, multimodal=multimodal, deterministic=True)
-        # per thread: the index of the last transcript block each of perception
-        # and action read and of the last episode listing action read, so
-        # threads sharing one backend do not evict each other's
-        self._slots = threading.local()
 
     # -- dispatch ---------------------------------------------------------
 
@@ -291,54 +249,37 @@ class ReferenceBackend:
     def _perceive(self, request: ChatRequest, payload: str) -> str:
         top_k = int(request.context.get("top_k", 5))
         wanted = needle(*parse_question_block(extract_block(payload, "question") or ""))
-        idx, index = self._cached(
-            "transcript", extract_block(payload, "transcript") or "", _transcript_index
-        )
-        scored = sorted((-score, idx[pos]) for pos, score in overlaps(wanted, index).items())
-        hits = sorted(i for _, i in scored[:top_k])
+        scored = []
+        for idx, _, _, text in parse_transcript_block(extract_block(payload, "transcript") or ""):
+            score = len(wanted.intersection(content_tokens(text)))
+            if score:
+                scored.append((-score, idx))
+        hits = sorted(idx for _, idx in sorted(scored)[:top_k])
         return json.dumps({"line_indices": hits})
 
     def _act(self, request: ChatRequest, payload: str) -> str:
         query, options = parse_question_block(extract_block(payload, "question") or "")
-        block = extract_block(payload, "transcript") or ""
-        slot = getattr(self._slots, "transcript", None)
-        if slot is not None and slot[0] == block:  # perception's block: reuse its index
-            keys, row_postings = slot[1]
-        else:
-            keys, row_postings = self._cached("action_transcript", block, _transcript_index)
-        listing = _episode_listing(extract_block(payload, "memory") or "")
-        summaries, summary_postings = self._cached("memory", listing, _memory_index)
+        if not options:
+            return "Answer: (?)"
+        rows = parse_transcript_block(extract_block(payload, "transcript") or "")
+        summaries = [
+            ep["summary"] for ep in parse_episode_lines(extract_block(payload, "memory") or "")
+        ]
+        row_tokens = [set(content_tokens(text)) for _, _, _, text in rows]
+        summary_tokens = [set(content_tokens(summary)) for summary in summaries]
+        seen = set().union(*row_tokens, *summary_tokens)
         scores = {
-            label: float(
-                sum(
-                    tok in row_postings or tok in summary_postings
-                    for tok in set(content_tokens(option_text))
-                )
-            )
+            label: float(len(seen.intersection(content_tokens(option_text))))
             for label, option_text in options
         }
-        if not scores:
-            return "Answer: (?)"
         best = pick_best_option(scores)
         wanted = needle(query, options)
         evidence = ""
-        if keys:
-            pos = _best(wanted, row_postings, keys)
-            evidence = transcript_row_text(block, pos)
+        if rows:
+            evidence = rows[_best(wanted, row_tokens, [idx for idx, _, _, _ in rows])][3]
         elif summaries:
-            evidence = summaries[_best(wanted, summary_postings, range(len(summaries)))]
+            evidence = summaries[_best(wanted, summary_tokens, range(len(summaries)))]
         return f"Answer: ({best})\nEvidence: {evidence or 'No textual evidence available.'}"
-
-    def _cached(self, kind: str, block: str, build: Callable[[str], tuple]) -> tuple:
-        """`build(block)`, kept in this thread's `kind` slot together with
-        `block` itself and reused while the next request's block is equal to
-        it (`==`, so no hash and no collision)."""
-        slot = getattr(self._slots, kind, None)
-        if slot is None or slot[0] != block:
-            setattr(self._slots, kind, None)  # drop the stale index before building
-            slot = (block, build(block))
-            setattr(self._slots, kind, slot)
-        return slot[1]
 
     def _reflect(self, request: ChatRequest, payload: str) -> str:
         answer_id = str(request.context.get("answer_id", "?"))

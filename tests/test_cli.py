@@ -386,6 +386,45 @@ class TestStats:
         out = capsys.readouterr().out
         assert "30-60min" in out
 
+    def test_manifest_builds_with_the_configured_templates(self, tmp_path, monkeypatch):
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "memory_segmentation.txt").write_text("Custom segmentation.\n{transcript}")
+        payloads = []
+
+        class Recording(ReferenceBackend):
+            def complete(self, request):
+                if request.context.get("stage") == "memory_segmentation":
+                    payloads.append(request.text_payload())
+                return super().complete(request)
+
+        backend = Recording()
+        monkeypatch.setattr(
+            gcagent.cli, "_build_backends",
+            lambda cfg, force_reference=False: BackendPair(manager=backend, reasoner=backend),
+        )
+        code = run_cli(
+            "--config", f"templates_dir={templates}",
+            "stats", "--manifest", MANIFEST, "--memory-dir", str(tmp_path / "mem"),
+        )
+        assert code == EXIT_OK
+        assert len(payloads) == 12  # one build per fixture video
+        assert all(payload.startswith("Custom segmentation.") for payload in payloads)
+
+    def test_memory_of_another_transcript_exits_1(self, tmp_path, capsys):
+        memory_path = tmp_path / "m.json"
+        run_cli("--reference", "build-memory", VID01, "--out", str(memory_path))
+        capsys.readouterr()
+        code = run_cli(
+            "--reference", "stats",
+            "--subtitles", str(FIXTURES / "videos" / "vid02.srt"),
+            "--memory", str(memory_path),
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"gcagent: input error: {memory_path}: memory digest does not match the transcript\n"
+        )
+
 
 class TestUnreadableTranscript:
     @pytest.mark.parametrize("kind", ["missing", "directory"])

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 
 import pytest
 from hypothesis import event, given, settings
@@ -240,7 +239,7 @@ def test_tokenizers_trim_each_token_then_lower_it(text):
     assert content_tokens(text) == [tok for tok in trimmed if tok and tok not in STOPWORDS]
 
 
-# --- perception and action: the per-thread index against the per-row scan -------
+# --- perception and action against a per-row scan ----------------------------------
 
 # few words, so lines repeat tokens, tie often and share tokens with options;
 # "zebra" and "quartz" appear only in options, so some options overlap nothing
@@ -330,7 +329,7 @@ def _needle_oracle(query, options):
 
 
 def _perceive_oracle(question, rows, top_k):
-    """Every row scored on its own, as before the index."""
+    """Every row scored on its own."""
     needle = _needle_oracle(*question)
     scored = []
     for idx, _, _, text in parse_transcript_block(rendered_transcript_block(rows)):
@@ -342,7 +341,7 @@ def _perceive_oracle(question, rows, top_k):
 
 
 def _act_oracle(question, rows, listing):
-    """Every row and summary scored on its own, as before the index."""
+    """Every row and summary scored on its own."""
     query, options = question
     parsed = parse_transcript_block(rendered_transcript_block(rows))
     summaries = [ep["summary"] for ep in parse_episode_lines("\n".join(listing))]
@@ -368,7 +367,7 @@ def _act_oracle(question, rows, listing):
     return f"Answer: ({best})\nEvidence: {evidence or 'No textual evidence available.'}"
 
 
-SHARED = ReferenceBackend()  # reused across examples: its index must never go stale
+SHARED = ReferenceBackend()  # reused across examples: no request may change a later response
 
 
 @settings(max_examples=250, deadline=None)
@@ -442,24 +441,10 @@ def test_alternating_transcripts_use_the_right_index():
             assert backend.complete(request).text == _perceive_oracle(QUESTION, rows, 1)
 
 
-def _listing(summaries, notes=0):
-    lines = []
-    for i, summary in enumerate(summaries):
-        lines.append(format_episode_line(i, float(i), i + 1.0, summary, "development", []))
-        lines += [format_note_line(v + 2, "A", f"note {v} crimson") for v in range(notes if i == 0 else 0)]
-    return lines
-
-
-def test_note_lines_reuse_the_memory_index(parse_calls):
-    backend = ReferenceBackend()
-    summaries = ["river stone", "crimson pigment"]
-    responses = [
-        backend.complete(_request("action", QUESTION, [], _listing(summaries, notes))).text
-        for notes in range(4)
-    ]
-    assert parse_calls["memory"] == 1
-    assert responses == [
-        _act_oracle(QUESTION, [], _listing(summaries, notes)) for notes in range(4)
+def _listing(summaries):
+    return [
+        format_episode_line(i, float(i), i + 1.0, summary, "development", [])
+        for i, summary in enumerate(summaries)
     ]
 
 
@@ -473,83 +458,12 @@ def test_changed_episode_line_rebuilds_the_memory_index(parse_calls):
     assert backend.complete(second).text == ReferenceBackend().complete(second).text
 
 
-def test_threads_sharing_a_backend_keep_their_own_index(parse_calls):
-    backend = ReferenceBackend()
-    videos = [["[1] 0.00-1.00: crimson river", "[2] 1.00-2.00: stone"],
-              ["[1] 0.00-1.00: palette", "[2] 1.00-2.00: crimson stone"]]
-    rounds = 5
-    turns = [threading.Semaphore(1), threading.Semaphore(0)]  # strict alternation
-    answers: list[list[str]] = [[], []]
-
-    def worker(me):
-        request = _request("perception", QUESTION, videos[me], [], top_k=1)
-        for _ in range(rounds):
-            assert turns[me].acquire(timeout=10)
-            answers[me].append(backend.complete(request).text)
-            turns[1 - me].release()
-
-    threads = [threading.Thread(target=worker, args=(me,)) for me in (0, 1)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=20)
-        assert not thread.is_alive()
-    assert parse_calls["transcript"] == 2  # one index per thread, never evicted
-    for me in (0, 1):
-        assert answers[me] == [_perceive_oracle(QUESTION, videos[me], 1)] * rounds
-
-
-_LISTING_LINES = st.lists(
-    st.sampled_from(["", " ", "「", "」", "「1 | 0.00-1.00 | x」", "  note v2 (A): y", "x「", " 「z」"]),
-    max_size=8,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(lines=_LISTING_LINES)
-def test_episode_listing_keeps_the_lines_parse_episode_lines_reads(lines):
-    text = "\n".join(lines)
-    expected = "\n".join(line for line in text.split("\n") if line.startswith("「"))
-    assert reference._episode_listing(text) == expected
-
-
 @settings(max_examples=150, deadline=None)
 @given(question=questions(), rows=transcript_rows(), listing=episode_listings())
 def test_action_on_perceptions_transcript_matches_per_row_scan(question, rows, listing):
-    """Action reuses perception's index when its `<transcript>` block is the
-    same block, as in the full-transcript compositions."""
+    """Action answers as a fresh backend would after perception read the
+    same `<transcript>` block, as in the full-transcript compositions."""
     backend = ReferenceBackend()
     backend.complete(_request("perception", question, rows, listing, top_k=2))
     request = _request("action", question, rows, listing)
     assert backend.complete(request).text == _act_oracle(question, rows, listing)
-
-
-def test_action_reuses_perceptions_transcript_index(parse_calls):
-    backend = ReferenceBackend()
-    full = ["[1] 0.00-1.00: crimson river", "[2] 1.00-2.00: palette stone", "[3] 2.00-3.00: river"]
-    excerpt = full[1:2]
-    for _ in range(2):
-        backend.complete(_request("perception", QUESTION, full, [], top_k=1))
-        backend.complete(_request("action", QUESTION, full, []))
-    assert parse_calls["transcript"] == 1  # perception's first request only
-    # an excerpt is indexed in action's own slot and leaves perception's in place
-    for _ in range(2):
-        assert backend.complete(_request("action", QUESTION, excerpt, [])).text == _act_oracle(
-            QUESTION, excerpt, []
-        )
-    assert parse_calls["transcript"] == 2
-    backend.complete(_request("action", QUESTION, full, []))
-    assert parse_calls["transcript"] == 2
-
-
-def test_action_keeps_its_own_transcript_index(parse_calls):
-    """A whole transcript that perception was not sent (it got a retrieved
-    block per question) is parsed once by action across questions."""
-    backend = ReferenceBackend()
-    full = ["[1] 0.00-1.00: crimson river", "[2] 1.00-2.00: palette stone", "[3] 2.00-3.00: river"]
-    for k in range(3):
-        backend.complete(_request("perception", QUESTION, full[k : k + 1], [], top_k=1))
-        assert backend.complete(_request("action", QUESTION, full, [])).text == _act_oracle(
-            QUESTION, full, []
-        )
-    assert parse_calls["transcript"] == 3 + 1  # each perception block, the whole one once

@@ -29,15 +29,15 @@ from .errors import (
     GcagentError,
     InvariantViolation,
     ManifestError,
+    MemoryFileError,
     ParseError,
-    SchemaViolation,
     StageError,
 )
 from .harness import (
     BackendPair,
     RunConfig,
     RunReport,
-    _item_transcript,
+    _item_session,
     _staged,
     answer,
     bucket_token_stats,
@@ -46,20 +46,11 @@ from .harness import (
     load_manifest,
     render_report_table,
 )
-from .memory import (
-    MemoryParams,
-    MemoryStore,
-    VideoSession,
-    _write_atomic,
-    build_memory,
-    load_memory,
-    memory_token_count,
-    save_memory,
-)
+from .memory import MemoryParams, MemoryStore, VideoSession, build_memory, memory_token_count
 from .perception import PerceptionParams, Query
 from .reasoning import EvidenceConfig
 from .reference import ReferenceBackend
-from .transcript import load_transcript, read_source, transcript_digest
+from .transcript import Transcript, load_transcript
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -280,15 +271,11 @@ def parse_options_arg(raw: str) -> tuple[tuple[str, str], ...]:
 
 # --- subcommands ------------------------------------------------------------------
 
-def _transcript_from_args(args, cfg) -> tuple:
-    if getattr(args, "subtitles", None):
-        path = args.subtitles
-    elif getattr(args, "captions", None):
-        path = args.captions
-    else:
+def _transcript_from_args(args) -> Transcript:
+    path = args.subtitles or args.captions
+    if not path:
         raise ConfigError("provide --subtitles or --captions")
-    duration = getattr(args, "duration", None)
-    return load_transcript(path, video_duration_s=duration), path
+    return load_transcript(path, video_duration_s=args.duration)
 
 
 def cmd_build_memory(args, cfg: dict) -> int:
@@ -299,11 +286,11 @@ def cmd_build_memory(args, cfg: dict) -> int:
             f"{transcript.token_count} tokens; nothing written"
         )
         return EXIT_OK
-    backends = _build_backends(cfg)
+    manager = _build_backends(cfg).manager
     params = MemoryParams(**cfg["memory"])
-    memory = build_memory(transcript, backends.manager, params, _load_templates(cfg))
     out_path = Path(args.out) if args.out else Path(args.input).with_suffix(".memory.json")
-    _write_atomic(out_path, save_memory(memory))
+    store = MemoryStore(out_path.parent)
+    memory = store.build(out_path, transcript, manager, params, _load_templates(cfg)).memory
     t_tokens = transcript.token_count
     m_tokens = memory_token_count(memory)
     stats = compute_token_stats(t_tokens, m_tokens)
@@ -315,38 +302,27 @@ def cmd_build_memory(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _resolve_memory(args, cfg, transcript, backends, templates, data: bytes | None):
-    memory_path = Path(args.memory) if args.memory else None
-    if data is not None:
-        memory = load_memory(data)
-        if memory.source_digest == transcript_digest(transcript):
-            return memory, memory_path
-        if not args.build_on_demand:
-            raise SchemaViolation(
-                str(memory_path), "memory digest does not match the transcript"
-            )
-    if not args.build_on_demand:
+def _ask_session(args, transcript, backends: BackendPair, config: RunConfig) -> VideoSession:
+    """The session `ask` answers from: the --memory file's, opened through a
+    store at its directory, or one holding a memory built in this process.
+    A dry run writes no file."""
+    manager = backends.manager if args.build_on_demand else None
+    if args.memory:
+        file = Path(args.memory)
+        return MemoryStore(file.parent).open(
+            file, transcript, manager, config.memory_params, config.templates, not args.dry_run
+        )
+    if manager is None:
         raise ConfigError("provide --memory FILE or --build-on-demand")
-    params = MemoryParams(**cfg["memory"])
-    memory = build_memory(transcript, backends.manager, params, templates)
-    if memory_path:
-        _write_atomic(memory_path, save_memory(memory))
-    return memory, memory_path
+    memory = build_memory(transcript, manager, config.memory_params, config.templates)
+    return VideoSession(transcript=transcript, memory=memory)
 
 
 def cmd_ask(args, cfg: dict) -> int:
-    transcript, _ = _transcript_from_args(args, cfg)
-    # read outside the memory stage, so an unreadable path is an input error;
-    # a missing file is left for --build-on-demand to build
-    data = None
-    if args.memory and (Path(args.memory).exists() or not args.build_on_demand):
-        data = read_source(args.memory)
+    transcript = _transcript_from_args(args)
     backends = _build_backends(cfg, force_reference=args.dry_run)
     config = dataclasses.replace(_run_config(cfg), reflect=not args.no_reflect)
-    memory, memory_path = _staged(
-        "memory", _resolve_memory, args, cfg, transcript, backends, config.templates, data
-    )
-    session = VideoSession(transcript=transcript, memory=memory, path=memory_path)
+    session = _staged("memory", _ask_session, args, transcript, backends, config)
 
     def _one(question: str, options) -> None:
         query = Query(text=question, options=options)
@@ -444,19 +420,17 @@ def cmd_stats(args, cfg: dict) -> int:
     if args.manifest:
         items = load_manifest(args.manifest)
         store = MemoryStore(args.memory_dir or cfg["memory_dir"])
-        backends = _build_backends(cfg)
+        manager = _build_backends(cfg).manager
         params = MemoryParams(**cfg["memory"])
         templates = _load_templates(cfg)
         videos = {}
         for item in sorted(items, key=lambda it: it.question_id):
             if item.video_id in videos:
                 continue
-            transcript = _item_transcript(item)
-            memory = store.get_or_build(
-                item.video_id, transcript, backends.manager, params, templates
-            )
+            session = _item_session(item, store)
+            store.get_or_build(item.video_id, session.transcript, manager, params, templates)
             videos[item.video_id] = (
-                item.duration_s, transcript.token_count, memory_token_count(memory)
+                item.duration_s, session.transcript.token_count, session.memory_tokens()
             )
         rows = []
         for bucket, stats in bucket_token_stats(videos.values()).items():
@@ -469,26 +443,13 @@ def cmd_stats(args, cfg: dict) -> int:
             )
         print("\n".join(rows) if rows else "no videos")
         return EXIT_OK
-    transcript, _ = _transcript_from_args(args, cfg)
+    transcript = _transcript_from_args(args)
     if not args.memory:
         raise ConfigError("provide --memory FILE (or --manifest)")
-    memory = load_memory(read_source(args.memory))
-    if memory.source_digest != transcript_digest(transcript):
-        raise SchemaViolation(args.memory, "memory digest does not match the transcript")
-    t_tokens = transcript.token_count
-    m_tokens = memory_token_count(memory)
-    stats = compute_token_stats(t_tokens, m_tokens)
-    print(
-        json.dumps(
-            {
-                "transcript_tokens": stats.transcript_tokens,
-                "memory_tokens": stats.memory_tokens,
-                "reduction_pct": None
-                if stats.reduction_pct is None
-                else round(stats.reduction_pct, 1),
-            }
-        )
-    )
+    file = Path(args.memory)
+    session = MemoryStore(file.parent).open(file, transcript)
+    stats = compute_token_stats(transcript.token_count, session.memory_tokens())
+    print(json.dumps(stats.to_json_dict()))
     return EXIT_OK
 
 
@@ -583,10 +544,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"gcagent: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ManifestError, SchemaViolation) as exc:
+    except (ParseError, ManifestError, MemoryFileError) as exc:
         print(f"gcagent: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StageError as exc:
+        if isinstance(exc.cause, MemoryFileError):
+            print(f"gcagent: input error: {exc.cause}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"gcagent: stage '{exc.stage}' failed: {exc.cause}", file=sys.stderr)
         if isinstance(exc.cause, ConfigError):
             return EXIT_USAGE

@@ -107,6 +107,16 @@ class SchemaViolation(GcagentError):
         super().__init__(f"{path}: {reason}")
 
 
+class MemoryFileError(GcagentError):
+    """A memory file could not be read, parsed, matched to its transcript or
+    written; `path` names the file."""
+
+    def __init__(self, path: str, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
 # --- perception / reasoning --------------------------------------------------
 
 class DigestMismatch(GcagentError):

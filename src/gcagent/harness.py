@@ -21,7 +21,7 @@ from .memory import MemoryParams, MemoryStore, VideoSession, check_minimums, ref
 from .perception import PerceptionParams, PerceptionResult, Query, perceive
 from .reasoning import ActionResult, EvidenceConfig, act, assemble_evidence
 from .text import needle
-from .transcript import Transcript, count_tokens, load_transcript
+from .transcript import count_tokens
 
 SPLITS = ("short", "medium", "long")
 
@@ -54,10 +54,12 @@ class TokenStats:
     reduction_pct: float | None
 
     def to_json_dict(self) -> dict:
+        """The stats with `reduction_pct` rounded to 0.1."""
+        reduction = None if self.reduction_pct is None else round(self.reduction_pct, 1)
         return {
             "transcript_tokens": self.transcript_tokens,
             "memory_tokens": self.memory_tokens,
-            "reduction_pct": self.reduction_pct,
+            "reduction_pct": reduction,
         }
 
 
@@ -101,8 +103,6 @@ def bucket_token_stats(videos: Iterable[tuple[float, float, float]]) -> dict[str
         mean_t = sum(p[0] for p in pairs) / len(pairs)
         mean_m = sum(p[1] for p in pairs) / len(pairs)
         doc = compute_token_stats(mean_t, mean_m).to_json_dict()
-        if doc["reduction_pct"] is not None:
-            doc["reduction_pct"] = round(doc["reduction_pct"], 1)
         doc["videos"] = len(pairs)
         out[bucket] = doc
     return out
@@ -217,10 +217,6 @@ def _required_source(item: BenchmarkItem) -> str:
     return source
 
 
-def _item_transcript(item: BenchmarkItem) -> Transcript:
-    return load_transcript(_required_source(item), video_duration_s=item.duration_s)
-
-
 def _item_session(item: BenchmarkItem, store: MemoryStore) -> VideoSession:
     return store.session(item.video_id, _required_source(item), item.duration_s)
 
@@ -309,7 +305,8 @@ def answer(
     `config.perception_params.context_budget`; reflection renders only its
     target episode. `memory_tokens` counts the whole memory. With `dry_run`
     the request is assembled but neither acted on nor reflected (`result`
-    is None). Stage failures carry the stage name."""
+    is None). Stage failures carry the stage name; a memory file that
+    cannot be written fails the `memory` stage."""
     transcript, memory = session.transcript, session.memory
     context = session.context(
         needle(query.text, query.options), config.perception_params.context_budget
@@ -355,7 +352,7 @@ def answer(
             config.memory_params,
             config.templates,
         )
-        session.commit(updated)
+        _staged("memory", session.commit, updated)
     return outcome
 
 

@@ -52,6 +52,7 @@ from .errors import (
     EmptyTranscript,
     InvalidLinkWarning,
     InvariantViolation,
+    MemoryFileError,
     SchemaViolation,
 )
 from .prompts import (
@@ -910,8 +911,8 @@ class VideoSession:
     and the current memory, each with the very file bytes it was parsed
     from or (the memory) serialized to. A file read again is parsed again
     only when its bytes differ from those (an `==` compare, not a hash).
-    Reflections are written through `store` (as `video_id`) when set, else
-    to `path` when set, else kept in this process only. A store's session
+    Reflections are written through `store`, which knows the memory file as
+    `key`, when set, else kept in this process only. A store's session
     belongs to the thread that opened it.
 
     The session also keeps the file bytes it last serialized, with the size
@@ -929,8 +930,7 @@ class VideoSession:
 
     transcript: Transcript | None = None
     memory: EpisodicMemory | None = None
-    path: Path | None = None
-    video_id: str = ""
+    key: str | Path | None = None
     store: MemoryStore | None = None
     source: tuple[str, float | None] | None = None
     source_bytes: bytes | None = field(default=None, repr=False)
@@ -953,9 +953,7 @@ class VideoSession:
     def commit(self, memory: EpisodicMemory) -> None:
         """Make `memory` the current version and write it out."""
         if self.store is not None:
-            self.store.save(self.video_id, memory)
-        elif self.path is not None:
-            _write_atomic(self.path, self.serialize(memory))
+            self.store.save(self.key, memory)
         if self.memory is not memory:  # the store records it in its thread's session only
             self.memory, self.memory_bytes = memory, None
 
@@ -1083,46 +1081,42 @@ class VideoSession:
 
 
 class MemoryStore:
-    """Directory of per-video memory files. Writes are serialized per video
-    id; readers always see a complete file (write-then-rename).
-
-    Each thread keeps one `VideoSession`. Every call reads the files again,
-    which is how edits by other processes are seen, but parses a file again
-    only when its bytes differ from the bytes the session last read or
-    wrote; the session compares them with `==`, so no file is hashed."""
+    """The one owner of memory files: every read, digest check, build and
+    write of one goes through a store. Each operation takes a `key` that
+    `path` maps to its file: a video id, or a file in the store's directory.
+    A missing directory is made on the first write; a file that cannot be
+    read, parsed or written raises `MemoryFileError` naming it. Writes are
+    serialized per file within this process (write-then-rename); nothing
+    coordinates two processes that write one file, so one's notes can be
+    lost. Each thread keeps one `VideoSession`, for the key it last used.
+    Every call reads the file again, to see edits by other processes, but
+    parses it again only when its bytes differ from those the session last
+    read or wrote (an `==` compare, so no file is hashed)."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._locks: dict[str, threading.Lock] = {}
+        self._locks: dict[Path, threading.RLock] = {}  # reentrant: `open` calls `build`
         self._locks_guard = threading.Lock()
         self._local = threading.local()
 
-    def _lock(self, video_id: str) -> threading.Lock:
+    def path(self, key: str | Path) -> Path:
+        """`key`'s memory file: a video id's, named by this directory's rule,
+        or `key` itself when it is a path."""
+        return key if isinstance(key, Path) else self.root / f"{key}.json"
+
+    def _lock(self, file: Path) -> threading.RLock:
         with self._locks_guard:
-            return self._locks.setdefault(video_id, threading.Lock())
+            return self._locks.setdefault(file, threading.RLock())
 
-    def _current(self, video_id: str) -> VideoSession | None:
+    def _session(self, key: str | Path, transcript: Transcript | None = None) -> VideoSession:
         session = getattr(self._local, "session", None)
-        return session if session is not None and session.video_id == video_id else None
-
-    def _session(self, video_id: str) -> VideoSession:
-        session = self._current(video_id)
-        if session is None:
-            self._local.session = None  # drop the other video's session first
-            session = self._local.session = VideoSession(
-                path=self.path(video_id), video_id=video_id, store=self
-            )
+        if session is None or session.key != key:
+            self._local.session = None  # drop the other file's session first
+            session = self._local.session = VideoSession(key=key, store=self)
+        if transcript is not None and session.transcript is not transcript:
+            session.drop_transcript()
+            session.transcript = transcript
         return session
-
-    def path(self, video_id: str) -> Path:
-        return self.root / f"{video_id}.json"
-
-    def load(self, video_id: str) -> EpisodicMemory | None:
-        path = self.path(video_id)
-        if not path.exists():
-            return None
-        return load_memory(path.read_bytes())
 
     def session(
         self, video_id: str, source: str, video_duration_s: float | None = None
@@ -1139,18 +1133,69 @@ class MemoryStore:
             session.source, session.source_bytes = key, data
         return session
 
-    def _write(self, video_id: str, memory: EpisodicMemory, session: VideoSession | None) -> None:
-        if session is None:
-            _write_atomic(self.path(video_id), save_memory(memory))
-            return
+    def _write(self, file: Path, memory: EpisodicMemory, session: VideoSession) -> None:
         session.memory, session.memory_bytes = None, None
         data = session.serialize(memory)
-        _write_atomic(self.path(video_id), data)
+        try:
+            try:
+                _write_atomic(file, data)
+            except FileNotFoundError:  # the directory is missing
+                file.parent.mkdir(parents=True, exist_ok=True)
+                _write_atomic(file, data)
+        except OSError as exc:
+            raise MemoryFileError(str(file), exc.strerror or str(exc)) from None
         session.memory, session.memory_bytes = memory, data
 
-    def save(self, video_id: str, memory: EpisodicMemory) -> None:
-        with self._lock(video_id):
-            self._write(video_id, memory, self._current(video_id))
+    def save(self, key: str | Path, memory: EpisodicMemory) -> None:
+        """Write `memory`, a reflection's new version, as `key`'s file."""
+        file = self.path(key)
+        with self._lock(file):
+            self._write(file, memory, self._session(key))
+
+    def build(
+        self, key, transcript, backend, params=MemoryParams(), templates=None, write=True
+    ) -> VideoSession:
+        """The session for `key`'s file holding a fresh memory of
+        `transcript`, written as the file whatever it held (kept in the
+        session only when `write` is false)."""
+        file = self.path(key)
+        with self._lock(file):
+            session = self._session(key, transcript)
+            session.drop_memory()
+            session.memory = build_memory(transcript, backend, params, templates)
+            if write:
+                self._write(file, session.memory, session)
+            return session
+
+    def open(
+        self, key, transcript, backend=None, params=MemoryParams(), templates=None, write=True
+    ) -> VideoSession:
+        """The session for `key`'s file holding `transcript` and the file's
+        memory when its digest matches. A missing or stale file is `build`
+        with `backend`; without one it raises `MemoryFileError`."""
+        file = self.path(key)
+        with self._lock(file):
+            session = self._session(key, transcript)
+            try:
+                data = file.read_bytes()
+            except FileNotFoundError as exc:
+                data, reason = None, exc.strerror
+            except OSError as exc:
+                raise MemoryFileError(str(file), exc.strerror or str(exc)) from None
+            if data is not None:
+                if session.memory is None or session.memory_bytes != data:
+                    session.drop_memory()
+                    try:
+                        session.memory = load_memory(data)
+                    except SchemaViolation as exc:
+                        raise MemoryFileError(str(file), str(exc)) from None
+                    session.memory_bytes = data
+                if session.memory.source_digest == transcript_digest(transcript):
+                    return session
+                reason = "memory digest does not match the transcript"
+            if backend is None:
+                raise MemoryFileError(str(file), reason)
+            return self.build(key, transcript, backend, params, templates, write)
 
     def get_or_build(
         self,
@@ -1160,23 +1205,5 @@ class MemoryStore:
         params: MemoryParams = MemoryParams(),
         templates: Mapping[str, PromptTemplate] | None = None,
     ) -> EpisodicMemory:
-        """Reuse the memory file when its digest matches the transcript;
-        otherwise build and persist a fresh one. A missing file always
-        means a build. The result is the session's current memory."""
-        with self._lock(video_id):
-            session = self._session(video_id)
-            try:
-                data = self.path(video_id).read_bytes()
-            except FileNotFoundError:
-                data = None
-            if data is not None:
-                if session.memory is None or session.memory_bytes != data:
-                    session.drop_memory()
-                    session.memory = load_memory(data)
-                    session.memory_bytes = data
-                if session.memory.source_digest == transcript_digest(transcript):
-                    return session.memory
-            session.drop_memory()
-            built = build_memory(transcript, backend, params, templates)
-            self._write(video_id, built, session)
-            return built
+        """`open(video_id, transcript, backend, ...)`'s memory."""
+        return self.open(video_id, transcript, backend, params, templates).memory

@@ -37,6 +37,7 @@ from gcagent.reference import ReferenceBackend
 from gcagent.transcript import (
     Transcript,
     count_tokens,
+    load_transcript,
     parse_caption_doc,
     parse_srt,
     parse_vtt,
@@ -103,11 +104,11 @@ def test_acceptance_3_reference_mode_determinism(tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
     # stage outputs are values: re-running perception/action yields equal results
-    from gcagent.harness import _item_transcript, load_manifest
+    from gcagent.harness import _required_source, load_manifest
 
     backend = ReferenceBackend()
     for item in load_manifest(MANIFEST)[:5]:
-        transcript = _item_transcript(item)
+        transcript = load_transcript(_required_source(item), video_duration_s=item.duration_s)
         memory = build_memory(transcript, backend)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -8,7 +8,7 @@ import pytest
 import gcagent.cli
 from gcagent.cli import EXIT_BACKEND, EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from gcagent.harness import BackendPair
-from gcagent.memory import load_memory
+from gcagent.memory import load_memory, memory_token_count
 from gcagent.reference import ReferenceBackend
 
 from conftest import FIXTURES
@@ -19,11 +19,17 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 VID01 = str(FIXTURES / "videos" / "vid01.srt")
+VID02 = str(FIXTURES / "videos" / "vid02.srt")
 MANIFEST = str(FIXTURES / "manifest.jsonl")
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def _manifest_items() -> list[dict]:
+    lines = (FIXTURES / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 class TestBuildMemory:
@@ -140,6 +146,17 @@ class TestAsk:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "<question>" in out
+
+    def test_dry_run_writes_no_memory_file(self, tmp_path, capsys):
+        memory_path = tmp_path / "m.json"
+        code = run_cli(
+            "--reference", "--dry-run", "ask", "--subtitles", VID01,
+            "--memory", str(memory_path), "--build-on-demand",
+            "--question", "why do they throw food in a big bowl", "--options", "A: Wash | B: Mix",
+        )
+        assert code == EXIT_OK
+        assert "<question>" in capsys.readouterr().out
+        assert not memory_path.exists()
 
     def test_unreachable_endpoint_without_dry_run_is_backend_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -455,19 +472,83 @@ class TestUnreadableMemory:
             ("missing", _ASK),
             ("directory", _ASK),
             ("directory", (*_ASK, "--build-on-demand")),
+            ("corrupt", ("stats",)),
+            ("corrupt", _ASK),
+            ("corrupt", (*_ASK, "--build-on-demand")),
+            ("stale", _ASK),
+            ("missing-directory", ("stats",)),
+            ("missing-directory", _ASK),
         ],
         ids=["stats-missing", "stats-directory", "ask-missing", "ask-directory",
-             "ask-build-on-demand-directory"],
+             "ask-build-on-demand-directory", "stats-corrupt", "ask-corrupt",
+             "ask-build-on-demand-corrupt", "ask-stale", "stats-missing-directory",
+             "ask-missing-directory"],
     )
     def test_exits_1_naming_the_path(self, tmp_path, capsys, kind, argv):
         path = tmp_path / "m.json"
         if kind == "directory":
             path.mkdir()
+        elif kind == "corrupt":
+            path.write_bytes(b"{not json")
+        elif kind == "stale":
+            run_cli("--reference", "build-memory", VID02, "--out", str(path))
+            capsys.readouterr()
+        elif kind == "missing-directory":
+            path = tmp_path / "absent" / "m.json"
         code = run_cli(
             "--reference", *argv[:1], "--subtitles", VID01, "--memory", str(path), *argv[1:]
         )
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"gcagent: input error: {path}: ")
+        assert not (tmp_path / "absent").exists()  # a failed command makes no directory
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("build-memory", VID01, "--out"),
+         ("ask", "--subtitles", VID01, "--build-on-demand", *_ASK[1:], "--memory")],
+        ids=["build-memory", "ask-build-on-demand"],
+    )
+    def test_missing_directory_is_made(self, tmp_path, capsys, argv):
+        path = tmp_path / "absent" / "deeper" / "m.json"
+        assert run_cli("--reference", *argv, str(path)) == EXIT_OK
+        load_memory(path.read_bytes())
+
+    @pytest.mark.parametrize("kind", ["directory", "corrupt", "memory-dir-is-a-file"])
+    def test_eval_records_a_memory_stage_error_and_goes_on(self, tmp_path, capsys, kind):
+        memory_dir = tmp_path / "mem"
+        broken = {"vid01"}
+        if kind == "memory-dir-is-a-file":
+            memory_dir.write_bytes(b"")
+            broken = {item["video_id"] for item in _manifest_items()}
+        else:
+            memory_dir.mkdir()
+            if kind == "directory":
+                (memory_dir / "vid01.json").mkdir()
+            else:
+                (memory_dir / "vid01.json").write_bytes(b"{not json")
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "--config", f"memory_dir={memory_dir}", "--reference", "eval", MANIFEST,
+            "--out", str(out),
+        )
+        assert code == EXIT_OK
+        items = json.loads(out.read_text())["items"]
+        assert {item["video_id"] for item in items if item["error"]} == broken
+        for item in items:
+            if item["video_id"] in broken:
+                assert item["stage"] == "memory"
+                assert item["error"].startswith(f"{memory_dir / item['video_id']}.json: ")
+
+    def test_stats_manifest_names_the_file(self, tmp_path, capsys):
+        memory_dir = tmp_path / "mem"
+        (memory_dir / "vid01.json").mkdir(parents=True)
+        code = run_cli(
+            "--reference", "stats", "--manifest", MANIFEST, "--memory-dir", str(memory_dir)
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"gcagent: input error: {memory_dir / 'vid01.json'}: "
+        )
 
     def test_missing_file_is_built_on_demand(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -478,6 +559,42 @@ class TestUnreadableMemory:
         )
         assert code == EXIT_OK
         load_memory(path.read_bytes())
+
+
+def test_one_memory_file_across_commands(tmp_path, capsys):
+    """build-memory writes the file; eval reuses it and adds a version per
+    question; ask --memory adds one more; stats reads the result."""
+    memory_dir = tmp_path / "mem"
+    path = memory_dir / "vid01.json"
+    assert run_cli("--reference", "build-memory", VID01, "--out", str(path)) == EXIT_OK
+    built = load_memory(path.read_bytes())
+
+    manifest = tmp_path / "vid01.jsonl"
+    items = [item for item in _manifest_items() if item["video_id"] == "vid01"]
+    with open(manifest, "w", encoding="utf-8") as fh:
+        for item in items:
+            item["subtitle_path"] = VID01
+            fh.write(json.dumps(item) + "\n")
+    code = run_cli(
+        "--config", f"memory_dir={memory_dir}", "--reference", "eval", str(manifest),
+        "--out", str(tmp_path / "r.json"),
+    )
+    assert code == EXIT_OK
+    evaluated = load_memory(path.read_bytes())
+    assert [dataclasses.replace(ep, reflections=()) for ep in evaluated.episodes] == list(
+        built.episodes
+    )
+    assert evaluated.version == 1 + len(items)
+
+    code = run_cli("--reference", "ask", "--subtitles", VID01, "--memory", str(path), *_ASK[1:])
+    assert code == EXIT_OK
+    asked = load_memory(path.read_bytes())
+    assert asked.version == evaluated.version + 1
+    capsys.readouterr()
+
+    code = run_cli("--reference", "stats", "--subtitles", VID01, "--memory", str(path))
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["memory_tokens"] == memory_token_count(asked)
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,22 @@ class TestRunPipeline:
         assert store.path("vid01").read_bytes() == before
         run_pipeline(items["q0101"], RunConfig(), backends, store)
         assert load_memory(store.path("vid01").read_bytes()).version == 2
+
+    def test_unwritable_memory_file_fails_the_memory_stage(self, tmp_path, backends, monkeypatch):
+        items = {i.question_id: i for i in load_manifest(MANIFEST)}
+        store = MemoryStore(tmp_path)
+        run_pipeline(items["q0101"], RunConfig(reflect=False), backends, store)
+        before = store.path("vid01").read_bytes()
+
+        def broken_replace(self, target):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(Path, "replace", broken_replace)
+        with pytest.raises(StageError) as exc:
+            run_pipeline(items["q0101"], RunConfig(), backends, store)
+        assert exc.value.stage == "memory"
+        assert str(exc.value.cause) == f"{store.path('vid01')}: disk gone"
+        assert store.path("vid01").read_bytes() == before
 
     def test_caption_fallback_when_subtitle_missing(self, tmp_path, backends):
         items = {i.question_id: i for i in load_manifest(MANIFEST)}

@@ -19,6 +19,7 @@ from gcagent.errors import (
     EmptyTranscript,
     InvalidLinkWarning,
     InvariantViolation,
+    MemoryFileError,
     SchemaViolation,
     UnreadableFile,
 )
@@ -842,8 +843,9 @@ class TestMemoryStore:
 
         monkeypatch.setattr(Path, "replace", broken_replace)
         bumped = EpisodicMemory(cooking_memory.episodes, cooking_memory.version + 1, "other")
-        with pytest.raises(OSError, match="disk gone"):
+        with pytest.raises(MemoryFileError, match="disk gone") as exc:
             store.save("vid", bumped)
+        assert exc.value.path == str(store.path("vid"))
         assert store.path("vid").read_bytes() == old
         assert list(tmp_path.glob("*.tmp")) == []
 

@@ -20,6 +20,7 @@ from gcagent.memory import (
     _episode_text,
     _fit,
     build_memory,
+    load_memory,
     memory_text,
     memory_token_count,
 )
@@ -292,7 +293,9 @@ def test_prompt_tokens_count_what_is_sent(tmp_path):
     for record, count in zip(records, sent):
         assert record.error is None
         assert record.token_usage["prompt_tokens"] == count
-        assert record.memory_tokens == memory_token_count(store.load(record.video_id))
+        assert record.memory_tokens == memory_token_count(
+            load_memory(store.path(record.video_id).read_bytes())
+        )
 
 
 @pytest.mark.parametrize("row", sorted(ABLATION_ROWS))

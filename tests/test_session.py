@@ -261,10 +261,10 @@ def test_session_renders_equal_one_shot_functions(steps):
             elif action == "switch":
                 vid = "vid02" if vid == "vid01" else "vid01"
                 base = None
-            else:  # `ask --memory`: a session writing to its own file
-                path = Path(root) / "cli.json"
+            else:  # `ask --memory FILE`: a store at the file's directory, any file name
+                path = Path(root) / "cli.memory"
                 path.write_bytes(save_memory(session.memory))
-                cli = VideoSession(transcript=session.transcript, memory=session.memory, path=path)
+                cli = MemoryStore(path.parent).open(path, session.transcript)
                 for _ in range(2):
                     cli.commit(reflected(cli.memory, span, words))
                     assert path.read_bytes() == save_memory(cli.memory)

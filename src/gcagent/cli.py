@@ -32,6 +32,7 @@ from .errors import (
     MemoryFileError,
     ParseError,
     StageError,
+    UnwritableFile,
 )
 from .harness import (
     BackendPair,
@@ -46,7 +47,14 @@ from .harness import (
     load_manifest,
     render_report_table,
 )
-from .memory import MemoryParams, MemoryStore, VideoSession, build_memory, memory_token_count
+from .memory import (
+    MemoryParams,
+    MemoryStore,
+    VideoSession,
+    _write_atomic,
+    build_memory,
+    memory_token_count,
+)
 from .perception import PerceptionParams, Query
 from .reasoning import EvidenceConfig
 from .reference import ReferenceBackend
@@ -160,11 +168,12 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
                 else:
                     raise ConfigError(f"unknown config key {key!r}")
         else:
-            path = Path(value)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {value}")
             try:
-                loaded = json.loads(path.read_text(encoding="utf-8"))
+                loaded = json.loads(Path(value).read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                raise ConfigError(f"config file not found: {value}") from None
+            except OSError as exc:  # a directory, no access
+                raise ConfigError(f"config file {value}: {exc.strerror or exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"config file {value}: {exc}") from None
             if not isinstance(loaded, dict):
@@ -371,7 +380,10 @@ def cmd_eval(args, cfg: dict) -> int:
         run_config = dataclasses.replace(run_config, reflect=False)
     report = evaluate(args.manifest, run_config, backends, cfg["memory_dir"])
     out_path = Path(args.out)
-    out_path.write_bytes(report.to_json_bytes())
+    try:
+        _write_atomic(out_path, report.to_json_bytes())
+    except OSError as exc:
+        raise UnwritableFile(str(out_path), exc.strerror or str(exc)) from None
     print(render_report_table(report, baseline))
     print(f"report written to {out_path}")
     if cfg["strict"] and report.counts["errors"] > 0:
@@ -544,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"gcagent: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ManifestError, MemoryFileError) as exc:
+    except (ParseError, ManifestError, MemoryFileError, UnwritableFile) as exc:
         print(f"gcagent: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except StageError as exc:

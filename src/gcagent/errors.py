@@ -50,6 +50,15 @@ class UnreadableFile(ParseError):
         super().__init__(f"{path}: {reason}")
 
 
+class UnwritableFile(GcagentError):
+    """An output file could not be written: no such directory, no access."""
+
+    def __init__(self, path: str, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
 class InvariantViolation(GcagentError):
     """A value was constructed in a state its type forbids."""
 

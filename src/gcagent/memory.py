@@ -663,10 +663,18 @@ def reflect(
         created_version=new_version,
     )
     noted = replace(episode, reflections=episode.reflections + (note,))
-    episodes = memory.episodes[:target] + (noted,) + memory.episodes[target + 1 :]
-    updated = replace(memory, episodes=episodes, version=new_version)
-    # a note changes no span, so the span index carries over
-    updated.__dict__["span_index"] = memory.span_index
+    # Made without `EpisodicMemory.__post_init__`, which would check every
+    # episode: what it checks holds already. Ids and line ranges are
+    # unchanged, the older notes are at most the old version and the new
+    # one is the new version. A note changes no span, so the span index
+    # carries over.
+    updated = object.__new__(EpisodicMemory)
+    updated.__dict__.update(
+        episodes=memory.episodes[:target] + (noted,) + memory.episodes[target + 1 :],
+        version=new_version,
+        source_digest=memory.source_digest,
+        span_index=memory.span_index,
+    )
     return updated
 
 
@@ -733,13 +741,16 @@ def _episode_json(ep: Episode) -> str:
 
 # the bytes around the episode items of a `save_memory` file that has episodes
 _LIST_HEAD, _ITEM_SEP, _LIST_TAIL = b"[\n    ", b",\n    ", b"\n  ]\n}\n"
+# where its first item opens, and what opens every later one: nothing inside
+# an item starts a line with four spaces and a brace
+_FIRST_ITEM, _NEXT_ITEM = b'"episodes": ' + _LIST_HEAD + b"{", _ITEM_SEP + b"{"
 
 
-def _memory_head(memory: EpisodicMemory) -> bytes:
-    """The bytes of `save_memory(memory)` before its episode list."""
+def _memory_head(version: int, source_digest: str) -> bytes:
+    """The bytes of a `save_memory` file before its episode list."""
     return (
-        f'{{\n  "version": {_json_num(memory.version)},\n'
-        f'  "source_digest": {_json_str(memory.source_digest)},\n'
+        f'{{\n  "version": {_json_num(version)},\n'
+        f'  "source_digest": {_json_str(source_digest)},\n'
         f'  "episodes": '
     ).encode("utf-8")
 
@@ -747,11 +758,24 @@ def _memory_head(memory: EpisodicMemory) -> bytes:
 def _memory_json(memory: EpisodicMemory, items: list[bytes]) -> bytes:
     """`save_memory(memory)` from its episodes through `_episode_json`, each
     encoded as UTF-8, in one join; the first and last of `items` change."""
+    head = _memory_head(memory.version, memory.source_digest)
     if not items:
-        return _memory_head(memory) + b"[]\n}\n"
-    items[0] = _memory_head(memory) + _LIST_HEAD + items[0]
+        return head + b"[]\n}\n"
+    items[0] = head + _LIST_HEAD + items[0]
     items[-1] += _LIST_TAIL
     return _ITEM_SEP.join(items)
+
+
+def _split_items(data: bytes) -> tuple[bytes, list[bytes]] | None:
+    """The bytes before the episode list of `data`, laid out as `save_memory`
+    writes a memory with episodes, and its items without their opening
+    brace; None when `data` has no such list."""
+    cut = data.find(_FIRST_ITEM)
+    if cut < 0 or not data.endswith(_LIST_TAIL):
+        return None
+    begin = cut + len(_FIRST_ITEM)
+    items = data[begin : len(data) - len(_LIST_TAIL)].split(_NEXT_ITEM)
+    return data[: begin - len(_LIST_HEAD) - 1], items
 
 
 def save_memory(memory: EpisodicMemory) -> bytes:
@@ -775,6 +799,67 @@ def _require(doc: dict, key: str, kind, path: str):
     return value
 
 
+def _load_episode(ep_doc, path: str) -> Episode:
+    """One item of a memory file's episode list, parsed from JSON, as an
+    `Episode`; `path` names the item in a `SchemaViolation`."""
+    if not isinstance(ep_doc, dict):
+        raise SchemaViolation(path, "expected an object")
+    span = _require(ep_doc, "span", list, path)
+    line_range = _require(ep_doc, "line_range", list, path)
+    if len(span) != 2 or not all(isinstance(v, (int, float)) for v in span):
+        raise SchemaViolation(f"{path}.span", "expected [start_s, end_s]")
+    if len(line_range) != 2 or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in line_range
+    ):
+        raise SchemaViolation(f"{path}.line_range", "expected [first, last]")
+    links_raw = ep_doc.get("causal_links", [])
+    if not isinstance(links_raw, list):
+        raise SchemaViolation(f"{path}.causal_links", "expected a list")
+    links = []
+    for j, link_doc in enumerate(links_raw):
+        link_path = f"{path}.causal_links[{j}]"
+        if not isinstance(link_doc, dict):
+            raise SchemaViolation(link_path, "expected an object")
+        links.append(
+            CausalLink(
+                target_id=_require(link_doc, "target_id", int, link_path),
+                relation=_require(link_doc, "relation", str, link_path),
+            )
+        )
+    notes_raw = ep_doc.get("reflections", [])
+    if not isinstance(notes_raw, list):
+        raise SchemaViolation(f"{path}.reflections", "expected a list")
+    notes = []
+    for j, note_doc in enumerate(notes_raw):
+        note_path = f"{path}.reflections[{j}]"
+        if not isinstance(note_doc, dict):
+            raise SchemaViolation(note_path, "expected an object")
+        notes.append(
+            ReflectionNote(
+                query=_require(note_doc, "query", str, note_path),
+                answer_id=_require(note_doc, "answer_id", str, note_path),
+                summary=_require(note_doc, "summary", str, note_path),
+                created_version=_require(note_doc, "created_version", int, note_path),
+            )
+        )
+    entities = ep_doc.get("entities", [])
+    if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+        raise SchemaViolation(f"{path}.entities", "expected a list of strings")
+    try:
+        return Episode(
+            id=_require(ep_doc, "id", int, path),
+            span=(float(span[0]), float(span[1])),
+            line_range=(line_range[0], line_range[1]),
+            schematic_summary=_require(ep_doc, "schematic_summary", str, path),
+            entities=tuple(entities),
+            narrative_role=_require(ep_doc, "narrative_role", str, path),
+            causal_links=tuple(links),
+            reflections=tuple(notes),
+        )
+    except InvariantViolation as exc:
+        raise SchemaViolation(path, str(exc)) from None
+
+
 def load_memory(data: bytes) -> EpisodicMemory:
     try:
         doc = json.loads(data.decode("utf-8"))
@@ -785,69 +870,11 @@ def load_memory(data: bytes) -> EpisodicMemory:
     version = _require(doc, "version", int, "$")
     digest = _require(doc, "source_digest", str, "$")
     episodes_raw = _require(doc, "episodes", list, "$")
-    episodes: list[Episode] = []
-    for i, ep_doc in enumerate(episodes_raw):
-        path = f"$.episodes[{i}]"
-        if not isinstance(ep_doc, dict):
-            raise SchemaViolation(path, "expected an object")
-        span = _require(ep_doc, "span", list, path)
-        line_range = _require(ep_doc, "line_range", list, path)
-        if len(span) != 2 or not all(isinstance(v, (int, float)) for v in span):
-            raise SchemaViolation(f"{path}.span", "expected [start_s, end_s]")
-        if len(line_range) != 2 or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in line_range
-        ):
-            raise SchemaViolation(f"{path}.line_range", "expected [first, last]")
-        links_raw = ep_doc.get("causal_links", [])
-        if not isinstance(links_raw, list):
-            raise SchemaViolation(f"{path}.causal_links", "expected a list")
-        links = []
-        for j, link_doc in enumerate(links_raw):
-            link_path = f"{path}.causal_links[{j}]"
-            if not isinstance(link_doc, dict):
-                raise SchemaViolation(link_path, "expected an object")
-            links.append(
-                CausalLink(
-                    target_id=_require(link_doc, "target_id", int, link_path),
-                    relation=_require(link_doc, "relation", str, link_path),
-                )
-            )
-        notes_raw = ep_doc.get("reflections", [])
-        if not isinstance(notes_raw, list):
-            raise SchemaViolation(f"{path}.reflections", "expected a list")
-        notes = []
-        for j, note_doc in enumerate(notes_raw):
-            note_path = f"{path}.reflections[{j}]"
-            if not isinstance(note_doc, dict):
-                raise SchemaViolation(note_path, "expected an object")
-            notes.append(
-                ReflectionNote(
-                    query=_require(note_doc, "query", str, note_path),
-                    answer_id=_require(note_doc, "answer_id", str, note_path),
-                    summary=_require(note_doc, "summary", str, note_path),
-                    created_version=_require(note_doc, "created_version", int, note_path),
-                )
-            )
-        entities = ep_doc.get("entities", [])
-        if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
-            raise SchemaViolation(f"{path}.entities", "expected a list of strings")
-        try:
-            episodes.append(
-                Episode(
-                    id=_require(ep_doc, "id", int, path),
-                    span=(float(span[0]), float(span[1])),
-                    line_range=(line_range[0], line_range[1]),
-                    schematic_summary=_require(ep_doc, "schematic_summary", str, path),
-                    entities=tuple(entities),
-                    narrative_role=_require(ep_doc, "narrative_role", str, path),
-                    causal_links=tuple(links),
-                    reflections=tuple(notes),
-                )
-            )
-        except InvariantViolation as exc:
-            raise SchemaViolation(path, str(exc)) from None
+    episodes = tuple(
+        _load_episode(ep_doc, f"$.episodes[{i}]") for i, ep_doc in enumerate(episodes_raw)
+    )
     try:
-        return EpisodicMemory(episodes=tuple(episodes), version=version, source_digest=digest)
+        return EpisodicMemory(episodes=episodes, version=version, source_digest=digest)
     except InvariantViolation as exc:
         raise SchemaViolation("$", str(exc)) from None
 
@@ -910,7 +937,9 @@ class VideoSession:
     """One video's warm state for answering questions: the parsed transcript
     and the current memory, each with the very file bytes it was parsed
     from or (the memory) serialized to. A file read again is parsed again
-    only when its bytes differ from those (an `==` compare, not a hash).
+    only when its bytes differ from those (an `==` compare, not a hash);
+    for a memory file, only the episode items that differ from the last
+    serialized file are parsed, when `reload` can tell which, else all.
     Reflections are written through `store`, which knows the memory file as
     `key`, when set, else kept in this process only. A store's session
     belongs to the thread that opened it.
@@ -924,9 +953,10 @@ class VideoSession:
     file are one object. From the first `context` call on, it also keeps
     the retrieval indexes: content token -> transcript lines (with each
     rendered line's token count) and content token -> episodes. A
-    reflection keeps the episode index, as it changes no summary. The
-    caches go with the transcript or memory they belong to when it is
-    parsed again, rebuilt, or the video changes."""
+    reflection keeps the episode index, as it changes no summary; so does
+    a `reload` in which no summary changed. The caches go with the
+    transcript or memory they belong to when it is parsed again in full,
+    rebuilt, or the video changes."""
 
     transcript: Transcript | None = None
     memory: EpisodicMemory | None = None
@@ -967,6 +997,48 @@ class VideoSession:
         self._file, self._file_episodes, self._sizes = b"", (), []
         self._episodes, self._text, self._tokens, self._summaries = (), None, None, None
 
+    def reload(self, data: bytes) -> None:
+        """Make `load_memory(data)`, a memory file's bytes, the current
+        memory, raising its `SchemaViolation` for an invalid file. Only the
+        episodes whose items differ from the last `serialize` result are
+        parsed: see `_reparse`. When that does not apply, `data` is parsed
+        in full and everything rendered from the old memory is dropped."""
+        memory = self._reparse(data)
+        if memory is None:
+            self.drop_memory()
+            memory = load_memory(data)
+        self.memory, self.memory_bytes = memory, data
+
+    def _reparse(self, data: bytes) -> EpisodicMemory | None:
+        """`load_memory(data)` when `data` is laid out as `save_memory`
+        writes it and has as many episodes as the last `serialize` result:
+        an item equal to that result's item at the same position is the
+        episode serialized there (the same object, so the caches keep what
+        they rendered from it), unless its span times are not floats as
+        `load_memory` makes them, and only the others are parsed. The whole
+        memory is checked as `load_memory` checks it. None for any other
+        file, or any that fails a check, for `load_memory` to report."""
+        old = self._file_episodes
+        split = _split_items(data) if old else None
+        if split is None or len(split[1]) != len(old):
+            return None
+        head, items = split
+        try:
+            doc = json.loads(head.decode("utf-8") + "[]}")  # ends in "}": an object
+            version = _require(doc, "version", int, "$")
+            digest = _require(doc, "source_digest", str, "$")
+            if _memory_head(version, digest) != head:
+                return None
+            episodes = tuple(
+                ep
+                if item == last and type(ep.span[0]) is type(ep.span[1]) is float
+                else _load_episode(json.loads("{" + item.decode("utf-8")), f"$.episodes[{i}]")
+                for i, (ep, item, last) in enumerate(zip(old, items, _split_items(self._file)[1]))
+            )
+            return EpisodicMemory(episodes=episodes, version=version, source_digest=digest)
+        except (ValueError, RecursionError, SchemaViolation, InvariantViolation):
+            return None
+
     def _sync(self, memory: EpisodicMemory) -> None:
         """Bring the memory-text cache and the episode index up to `memory`."""
         episodes, old = memory.episodes, self._episodes
@@ -1002,7 +1074,8 @@ class VideoSession:
             def start(i: int) -> int:  # where item i begins, counted back from the tail
                 return end - sum(sizes[i:]) - (len(sizes) - 1 - i) * len(_ITEM_SEP)
 
-            pieces, pos = [_memory_head(memory) + _LIST_HEAD], start(0)
+            head = _memory_head(memory.version, memory.source_digest)
+            pieces, pos = [head + _LIST_HEAD], start(0)
             for i in [i for i, ep in enumerate(episodes) if ep is not old[i]]:
                 item = _episode_json(episodes[i]).encode("utf-8")
                 begin = start(i)  # items after i keep their sizes
@@ -1091,7 +1164,8 @@ class MemoryStore:
     lost. Each thread keeps one `VideoSession`, for the key it last used.
     Every call reads the file again, to see edits by other processes, but
     parses it again only when its bytes differ from those the session last
-    read or wrote (an `==` compare, so no file is hashed)."""
+    read or wrote (an `==` compare, so no file is hashed), and then only
+    the episode items that differ (`VideoSession.reload`)."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -1184,12 +1258,10 @@ class MemoryStore:
                 raise MemoryFileError(str(file), exc.strerror or str(exc)) from None
             if data is not None:
                 if session.memory is None or session.memory_bytes != data:
-                    session.drop_memory()
                     try:
-                        session.memory = load_memory(data)
+                        session.reload(data)
                     except SchemaViolation as exc:
                         raise MemoryFileError(str(file), str(exc)) from None
-                    session.memory_bytes = data
                 if session.memory.source_digest == transcript_digest(transcript):
                     return session
                 reason = "memory digest does not match the transcript"

@@ -301,6 +301,19 @@ class TestEval:
         assert {item["stage"] for item in report["items"]} == {"action"}
         assert "UTF-8" in report["items"][0]["error"]
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_out_exits_1_naming_the_path(self, tmp_path, capsys, where):
+        out = tmp_path / "nodir" / "r.json" if where == "missing directory" else tmp_path / "r"
+        if where == "directory":
+            out.mkdir()
+        code = run_cli("--config", f"memory_dir={tmp_path / 'mem'}",
+                       "--reference", "eval", MANIFEST, "--out", str(out))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcagent: input error: {out}: ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))  # the temp file is removed
+
     def test_empty_manifest_exits_1(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n")
@@ -610,6 +623,13 @@ class TestUsage:
         code = run_cli("--config", str(config), "eval", MANIFEST)
         assert code == EXIT_USAGE
         assert "reference mode forbids" in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("--config", str(tmp_path), "--reference", "eval", MANIFEST)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"gcagent: config error: config file {tmp_path}: ")
+        assert "Traceback" not in err
 
     def test_unknown_config_key(self, capsys):
         code = run_cli("--config", "bogus_key=1", "eval", MANIFEST)

@@ -1051,3 +1051,29 @@ def test_reloaded_or_rebuilt_memory_never_reuses_a_stale_index(
         assert memory.span_index is not stale.span_index
         assert memory.span_index == replace(memory).span_index
         assert _target_episode(memory, perception) == _scan_target(memory, perception)
+
+
+@settings(max_examples=200, deadline=None)
+@given(memory=memories(), steps=st.lists(_perceptions, min_size=1, max_size=4))
+def test_reflect_equals_the_checked_constructor(memory, steps):
+    """`reflect` makes its new version without `EpisodicMemory`'s
+    whole-memory check; what it returns is what the checked constructor
+    builds from the input with the one note added."""
+    if not memory.episodes:
+        return
+    backend = ReferenceBackend()
+    for k, perception in enumerate(steps):
+        updated = reflect(f"q{k}", _OPTIONS, "A", f"evidence {k}", memory, perception, backend)
+        target = _scan_target(memory, perception)
+        episode = memory.episodes[target]
+        note = ReflectionNote(f"q{k}", "A", f"(A) evidence {k}", memory.version + 1)
+        checked = EpisodicMemory(
+            episodes=memory.episodes[:target]
+            + (replace(episode, reflections=episode.reflections + (note,)),)
+            + memory.episodes[target + 1 :],
+            version=memory.version + 1,
+            source_digest=memory.source_digest,
+        )
+        assert updated == checked
+        assert save_memory(updated) == save_memory(checked)
+        memory = updated

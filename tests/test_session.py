@@ -4,6 +4,7 @@ again only when their bytes change, and never served stale."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import shutil
 import sys
 import tempfile
@@ -14,11 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gcagent.memory
+from gcagent.errors import MemoryFileError, SchemaViolation
 from gcagent.harness import BackendPair, RunConfig, evaluate, load_manifest, run_pipeline
 from gcagent.memory import (
+    CausalLink,
     Episode,
     EpisodicMemory,
     MemoryStore,
+    ReflectionNote,
     VideoSession,
     load_memory,
     memory_text,
@@ -339,3 +343,153 @@ def test_serialize_matches_save_memory_over_reflections(spans, words, steps):
         else:
             memory = dataclasses.replace(memory, episodes=memory.episodes[:-1] or memory.episodes)
         assert session.serialize(memory) == save_memory(memory)
+
+
+_OPTIONS = (("A", "a"), ("B", "b"))
+_RELOAD_SPANS = st.sampled_from([(0.0, 1.5), (2.0, 7.25), (2, 7), (1.0, 1.0), (_NAN, _NAN), (0.5, _INF)])
+_REWRITES = st.sampled_from(
+    [
+        "note", "unnote", "summary", "count", "base", "indent4", "sort_keys", "item_keys",
+        "bad_item", "bad_json", "future_note",
+    ]
+)
+
+
+def _rewritten(memory: EpisodicMemory, base: EpisodicMemory, action: str, k: int) -> bytes:
+    """A memory file that another writer made from `memory`, the store's
+    current memory, as `action` says; `k` picks the episode it changes."""
+    doc = json.loads(save_memory(memory))
+    episodes = doc["episodes"]
+    item = episodes[k % len(episodes)]
+    layout = {"indent": 2}
+    if action in ("note", "future_note"):
+        doc["version"] += action == "note"  # else a note above the file's version
+        note = {"query": "q", "answer_id": "B", "summary": "another writer"}
+        item["reflections"].append({**note, "created_version": memory.version + 1})
+    elif action == "unnote":
+        item["reflections"] = []
+    elif action == "summary":  # edited in place, its length kept
+        item["schematic_summary"] = item["schematic_summary"][::-1]
+    elif action == "count" and len(episodes) > 1:
+        episodes.pop()
+    elif action == "count":
+        episodes.append({**item, "id": 1, "line_range": [2, 2], "causal_links": []})
+    elif action == "base":
+        return save_memory(base)
+    elif action == "indent4":
+        layout = {"indent": 4}
+    elif action == "sort_keys":
+        layout = {"indent": 2, "sort_keys": True}
+    elif action == "item_keys":  # the file's layout, one item's keys in reverse
+        episodes[k % len(episodes)] = dict(reversed(list(item.items())))
+    elif action == "bad_item":
+        item["narrative_role"] = 7
+    else:  # bad_json: one item is cut short
+        item["narrative_role"] = "\u0000cut"
+        data = (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        return data.replace(b'"\\u0000cut"', b'"')
+    return (json.dumps(doc, ensure_ascii=False, **layout) + "\n").encode("utf-8")
+
+
+@pytest.mark.filterwarnings("ignore::gcagent.errors.DegenerateOutputWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    spans=st.lists(_RELOAD_SPANS, min_size=1, max_size=6),
+    steps=st.lists(
+        st.tuples(_REWRITES, st.integers(0, 5), st.booleans(), st.floats(0.0, 10.0)),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_reload_after_a_rewrite_equals_a_full_parse(spans, steps):
+    """A memory file rewritten behind the store opens as `load_memory` of
+    its bytes, renders as the one-shot functions do, and the next write is
+    `save_memory` of it; an invalid file raises the error a full parse
+    gives, and a later valid one is read again."""
+    transcript = load_transcript(str(FIXTURES / "videos" / "vid01.srt"))
+    reference = ReferenceBackend()
+    base = EpisodicMemory(
+        episodes=tuple(
+            Episode(
+                id=i,
+                span=span,
+                line_range=(i + 1, i + 1),
+                schematic_summary=f"Event {i + 1}: caf\u00e9 \"pan\"",
+                entities=("Bob",),
+                causal_links=(CausalLink(i - 1, "precedes"),) if i else (),
+            )
+            for i, span in enumerate(spans)
+        ),
+        version=1,
+        source_digest=transcript.digest,
+    )
+    with tempfile.TemporaryDirectory() as root:
+        store = MemoryStore(Path(root))
+        path = store.path("v")
+        store.save("v", base)
+        memory = held = base  # the last valid memory; the one the session holds
+        for action, k, reflects, at in steps:
+            data = _rewritten(memory, base, action, k)
+            previous = path.read_bytes()
+            path.write_bytes(data)
+            try:
+                expected = load_memory(data)
+            except SchemaViolation as exc:
+                with pytest.raises(MemoryFileError) as info:
+                    store.open("v", transcript)
+                assert str(info.value) == f"{path}: {exc}"
+                held = None
+                continue
+            session = store.open("v", transcript)
+            if data == previous and held is not None:  # not read again
+                assert session.memory is held
+            else:
+                assert save_memory(session.memory) == save_memory(expected)
+            _assert_session_renders(session)
+            memory = held = session.memory
+            if reflects:
+                session.commit(
+                    reflect("q", _OPTIONS, "A", "ev pan", memory, [(at, at + 1.0)], reference)
+                )
+                memory = held = session.memory
+                assert path.read_bytes() == save_memory(memory)
+
+
+def test_reset_to_the_base_parses_only_the_changed_items(tmp_path, monkeypatch):
+    """A file reset to its version-1 base after 50 notes, as the benchmark
+    does each round, parses the 50 noted items, not all 200 episodes."""
+    transcript = load_transcript(str(FIXTURES / "videos" / "vid01.srt"))
+    reference = ReferenceBackend()
+    base = EpisodicMemory(
+        episodes=tuple(
+            Episode(
+                id=i,
+                span=(float(i), i + 0.5),
+                line_range=(i + 1, i + 1),
+                schematic_summary=f"Event {i + 1}: pan",
+            )
+            for i in range(200)
+        ),
+        version=1,
+        source_digest=transcript.digest,
+    )
+    store = MemoryStore(tmp_path)
+    store.save("v", base)
+    base_bytes = store.path("v").read_bytes()
+    session = store.open("v", transcript)
+    for k in range(50):
+        at = 4 * k + 0.1  # episode 4k alone overlaps
+        session.commit(
+            reflect(f"q{k}", _OPTIONS, "A", f"ev {k}", session.memory, [(at, at + 0.3)], reference)
+        )
+    noted = session.memory.episodes
+    assert sum(1 for ep in noted if ep.reflections) == 50
+    parses = _count_calls(monkeypatch, gcagent.memory, "_load_episode")
+    loads = _count_calls(monkeypatch, gcagent.memory, "load_memory")
+    store.path("v").write_bytes(base_bytes)
+    reset = store.open("v", transcript)
+    assert len(parses) == 50
+    assert not loads
+    assert reset.memory == base
+    assert all((ep is old) == (not old.reflections) for ep, old in zip(reset.memory.episodes, noted))
+    assert reset.serialize(reset.memory) == base_bytes

@@ -194,3 +194,8 @@ class BudgetTooSmallWarning(RepairWarning):
 
 class NoRelevantContentWarning(RepairWarning):
     """Retrieval found nothing; fell back to uniform sampling."""
+
+
+class TornLineWarning(RepairWarning):
+    """A memory file's last note line had no newline (its writer stopped
+    mid-append) and was dropped."""

@@ -23,11 +23,14 @@ limit) is asked for again as two half batches, down to single units.
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import secrets
 import threading
 import warnings
 from bisect import bisect_left, bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, chain
@@ -54,6 +57,7 @@ from .errors import (
     InvariantViolation,
     MemoryFileError,
     SchemaViolation,
+    TornLineWarning,
 )
 from .prompts import (
     SYSTEM_MEMORY_MANAGER,
@@ -156,6 +160,10 @@ class Episode:
                 raise InvariantViolation(f"episode {self.id}: empty reflection summary")
             if note.created_version < 1:
                 raise InvariantViolation(f"episode {self.id}: bad note version")
+        start, end = self.span
+        if type(start) is not float or type(end) is not float:
+            # floats, as a memory file reads back, so a memory equals its file
+            object.__setattr__(self, "span", (float(start), float(end)))
 
 
 @dataclass(frozen=True)
@@ -626,7 +634,9 @@ def reflect(
     prompt's `{memory}` is that episode alone, its narrative line and its
     notes in a `<memory>` block, so the prompt grows with one episode, not
     with the memory. Returns a new memory with version + 1 in which only the
-    target episode is a new object; everything pre-existing is untouched."""
+    target episode is a new object; everything pre-existing is untouched. It
+    records which episode it changed (see `_with_note`), so a store appends
+    the note to the memory file as one line."""
     if not evidence.strip():
         raise InvariantViolation("reflection requires non-empty evidence")
     if not memory.episodes:
@@ -655,27 +665,43 @@ def reflect(
     summary = answer_field(complete_text(backend, request), "summary", str)
     if summary is None or not summary.strip() or not encodable(summary):
         raise BackendFailure("reflection returned no usable summary; memory unchanged")
-    new_version = memory.version + 1
     note = ReflectionNote(
         query=query,
         answer_id=answer_id,
         summary=" ".join(summary.split()),
-        created_version=new_version,
+        created_version=memory.version + 1,
     )
+    return _with_note(memory, target, note)
+
+
+def _with_note(memory: EpisodicMemory, position: int, note: ReflectionNote) -> EpisodicMemory:
+    """`memory` with `note`, whose `created_version` is `memory.version + 1`,
+    appended to the episode at `position`, as that version. Made without
+    `EpisodicMemory.__post_init__`, which would check every episode: what it
+    checks holds already. Ids and line ranges are unchanged, the older notes
+    are at most the old version and the new one is the new version. A note
+    changes no span, so the span index carries over. The result
+    records `_noted`: the episodes it was made from and `position`."""
+    episode = memory.episodes[position]
     noted = replace(episode, reflections=episode.reflections + (note,))
-    # Made without `EpisodicMemory.__post_init__`, which would check every
-    # episode: what it checks holds already. Ids and line ranges are
-    # unchanged, the older notes are at most the old version and the new
-    # one is the new version. A note changes no span, so the span index
-    # carries over.
     updated = object.__new__(EpisodicMemory)
     updated.__dict__.update(
-        episodes=memory.episodes[:target] + (noted,) + memory.episodes[target + 1 :],
-        version=new_version,
+        episodes=memory.episodes[:position] + (noted,) + memory.episodes[position + 1 :],
+        version=note.created_version,
         source_digest=memory.source_digest,
         span_index=memory.span_index,
+        _noted=(memory.episodes, position),
     )
     return updated
+
+
+def _noted_position(memory: EpisodicMemory, previous: EpisodicMemory | None) -> int | None:
+    """The position of the one episode that `memory` added a note to, when
+    `_with_note` made it from `previous`; else None."""
+    noted = memory.__dict__.get("_noted")
+    if previous is None or noted is None or noted[0] is not previous.episodes:
+        return None
+    return noted[1] if memory.version == previous.version + 1 else None
 
 
 def reference_note_summary(answer_id: str, evidence: str, budget: int) -> str:
@@ -686,6 +712,7 @@ def reference_note_summary(answer_id: str, evidence: str, budget: int) -> str:
 # --- persistence --------------------------------------------------------------------
 
 _json_str = json.encoder.encode_basestring  # what json.dumps uses with ensure_ascii=False
+_DECODER, _WHITESPACE = json.JSONDecoder(), json.decoder.WHITESPACE  # as json.loads uses them
 _INF = float("inf")
 
 
@@ -739,51 +766,22 @@ def _episode_json(ep: Episode) -> str:
     )
 
 
-# the bytes around the episode items of a `save_memory` file that has episodes
-_LIST_HEAD, _ITEM_SEP, _LIST_TAIL = b"[\n    ", b",\n    ", b"\n  ]\n}\n"
-# where its first item opens, and what opens every later one: nothing inside
-# an item starts a line with four spaces and a brace
-_FIRST_ITEM, _NEXT_ITEM = b'"episodes": ' + _LIST_HEAD + b"{", _ITEM_SEP + b"{"
-
-
-def _memory_head(version: int, source_digest: str) -> bytes:
-    """The bytes of a `save_memory` file before its episode list."""
-    return (
-        f'{{\n  "version": {_json_num(version)},\n'
-        f'  "source_digest": {_json_str(source_digest)},\n'
-        f'  "episodes": '
-    ).encode("utf-8")
-
-
-def _memory_json(memory: EpisodicMemory, items: list[bytes]) -> bytes:
-    """`save_memory(memory)` from its episodes through `_episode_json`, each
-    encoded as UTF-8, in one join; the first and last of `items` change."""
-    head = _memory_head(memory.version, memory.source_digest)
-    if not items:
-        return head + b"[]\n}\n"
-    items[0] = head + _LIST_HEAD + items[0]
-    items[-1] += _LIST_TAIL
-    return _ITEM_SEP.join(items)
-
-
-def _split_items(data: bytes) -> tuple[bytes, list[bytes]] | None:
-    """The bytes before the episode list of `data`, laid out as `save_memory`
-    writes a memory with episodes, and its items without their opening
-    brace; None when `data` has no such list."""
-    cut = data.find(_FIRST_ITEM)
-    if cut < 0 or not data.endswith(_LIST_TAIL):
-        return None
-    begin = cut + len(_FIRST_ITEM)
-    items = data[begin : len(data) - len(_LIST_TAIL)].split(_NEXT_ITEM)
-    return data[: begin - len(_LIST_HEAD) - 1], items
-
-
 def save_memory(memory: EpisodicMemory) -> bytes:
     """The memory as UTF-8 JSON, byte for byte what
     ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` gives for the
     documented schema; written directly because the C encoder does not
-    handle ``indent``."""
-    return _memory_json(memory, [_episode_json(ep).encode("utf-8") for ep in memory.episodes])
+    handle ``indent``. This is a memory file's snapshot."""
+    head = (
+        f'{{\n  "version": {_json_num(memory.version)},\n'
+        f'  "source_digest": {_json_str(memory.source_digest)},\n'
+        f'  "episodes": '
+    ).encode("utf-8")
+    if not memory.episodes:
+        return head + b"[]\n}\n"
+    items = [_episode_json(ep).encode("utf-8") for ep in memory.episodes]
+    items[0] = head + b"[\n    " + items[0]  # one join for the whole file
+    items[-1] += b"\n  ]\n}\n"
+    return b",\n    ".join(items)
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -797,6 +795,18 @@ def _require(doc: dict, key: str, kind, path: str):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaViolation(f"{path}.{key}", f"expected {kind.__name__}")
     return value
+
+
+def _load_note(doc, path: str) -> ReflectionNote:
+    """A reflection note parsed from JSON; `path` names it in a `SchemaViolation`."""
+    if not isinstance(doc, dict):
+        raise SchemaViolation(path, "expected an object")
+    return ReflectionNote(
+        query=_require(doc, "query", str, path),
+        answer_id=_require(doc, "answer_id", str, path),
+        summary=_require(doc, "summary", str, path),
+        created_version=_require(doc, "created_version", int, path),
+    )
 
 
 def _load_episode(ep_doc, path: str) -> Episode:
@@ -829,19 +839,9 @@ def _load_episode(ep_doc, path: str) -> Episode:
     notes_raw = ep_doc.get("reflections", [])
     if not isinstance(notes_raw, list):
         raise SchemaViolation(f"{path}.reflections", "expected a list")
-    notes = []
-    for j, note_doc in enumerate(notes_raw):
-        note_path = f"{path}.reflections[{j}]"
-        if not isinstance(note_doc, dict):
-            raise SchemaViolation(note_path, "expected an object")
-        notes.append(
-            ReflectionNote(
-                query=_require(note_doc, "query", str, note_path),
-                answer_id=_require(note_doc, "answer_id", str, note_path),
-                summary=_require(note_doc, "summary", str, note_path),
-                created_version=_require(note_doc, "created_version", int, note_path),
-            )
-        )
+    notes = [
+        _load_note(note_doc, f"{path}.reflections[{j}]") for j, note_doc in enumerate(notes_raw)
+    ]
     entities = ep_doc.get("entities", [])
     if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
         raise SchemaViolation(f"{path}.entities", "expected a list of strings")
@@ -860,11 +860,24 @@ def _load_episode(ep_doc, path: str) -> Episode:
         raise SchemaViolation(path, str(exc)) from None
 
 
-def load_memory(data: bytes) -> EpisodicMemory:
+def _read_snapshot(data: bytes) -> tuple[EpisodicMemory, int]:
+    """The memory of the snapshot a memory file's bytes `data` start with,
+    and the snapshot's length: through the newline that ends its last line,
+    or all of `data` when no newline follows it."""
+    body = data[: data.rfind(b"\n") + 1]  # the complete lines
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise SchemaViolation("$", f"not valid JSON: {exc}") from None
+        text = body.decode("utf-8")
+        doc, end = _DECODER.raw_decode(text, _WHITESPACE.match(text).end())
+        rest, tail = text[end:].split("\n", 1)
+        if rest.strip():
+            raise ValueError("not a note line")
+        size = len(body) - len(tail.encode("utf-8"))
+    except (ValueError, RecursionError):  # one document, without a final newline
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise SchemaViolation("$", f"not valid JSON: {exc}") from None
+        size = len(data)
     if not isinstance(doc, dict):
         raise SchemaViolation("$", "top level must be an object")
     version = _require(doc, "version", int, "$")
@@ -874,9 +887,68 @@ def load_memory(data: bytes) -> EpisodicMemory:
         _load_episode(ep_doc, f"$.episodes[{i}]") for i, ep_doc in enumerate(episodes_raw)
     )
     try:
-        return EpisodicMemory(episodes=episodes, version=version, source_digest=digest)
+        return EpisodicMemory(episodes=episodes, version=version, source_digest=digest), size
     except InvariantViolation as exc:
         raise SchemaViolation("$", str(exc)) from None
+
+
+def _note_line(position: int, note: ReflectionNote) -> bytes:
+    """The note line that appends `note` to the episode at `position`. JSON
+    escapes every newline in a string, so the line holds no raw LF."""
+    doc = {
+        "episode": position,
+        "query": note.query,
+        "answer_id": note.answer_id,
+        "summary": note.summary,
+        "created_version": note.created_version,
+    }
+    return (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _fold(memory: EpisodicMemory, lines: bytes) -> tuple[EpisodicMemory, int, list[int]]:
+    """`memory` with the note lines `lines` folded on in order, the length
+    of `lines` without a torn last line, and the position of the episode
+    each line noted. A last line with no newline is what a writer that
+    stopped mid-append leaves: it is dropped with a `TornLineWarning`. Blank
+    lines are skipped. Any other line that is not a note on an existing
+    episode, one version after the last, raises `SchemaViolation`."""
+    complete = lines.rfind(b"\n") + 1
+    positions: list[int] = []
+    for number, raw in enumerate(lines[:complete].split(b"\n")[:-1], start=1):
+        if not raw.strip():
+            continue
+        path = f"note line {number}"
+        try:
+            doc = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaViolation(path, f"not valid JSON: {exc}") from None
+        note = _load_note(doc, path)
+        position = _require(doc, "episode", int, path)
+        if not 0 <= position < len(memory.episodes):
+            raise SchemaViolation(f"{path}.episode", f"no episode at position {position}")
+        if note.created_version != memory.version + 1:
+            raise SchemaViolation(
+                f"{path}.created_version", f"expected version {memory.version + 1}"
+            )
+        try:
+            memory = _with_note(memory, position, note)
+        except InvariantViolation as exc:
+            raise SchemaViolation(path, str(exc)) from None
+        positions.append(position)
+    if complete < len(lines):
+        warnings.warn(
+            f"dropped a torn last note line ({len(lines) - complete} bytes, no newline)",
+            TornLineWarning,
+            stacklevel=3,
+        )
+    return memory, complete, positions
+
+
+def load_memory(data: bytes) -> EpisodicMemory:
+    """The memory a memory file's bytes hold: its snapshot, with the note
+    lines after it folded on (`_fold`)."""
+    memory, size = _read_snapshot(data)
+    return _fold(memory, data[size:])[0]
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -893,6 +965,45 @@ def _write_atomic(path: Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _read_after(fh, held: bytes | bytearray) -> bytes | None:
+    """The rest of the file `fh`, open at its start, after its first
+    `len(held)` bytes when those are `held`, else None. They are read and
+    compared in chunks, so no copy of the whole file is made."""
+    offset = 0
+    while offset < len(held):
+        chunk = fh.read(min(1 << 16, len(held) - offset))
+        if not chunk or not held.startswith(chunk, offset):
+            return None
+        offset += len(chunk)
+    return fh.read()
+
+
+def _read_changed(file: Path, held: bytes | bytearray | None) -> bytes | None:
+    """`file`'s bytes, or None when they are `held` (see `_read_after`)."""
+    with open(file, "rb") as fh:
+        if held is not None:
+            rest = _read_after(fh, held)
+            if rest is not None:
+                return bytes(held) + rest if rest else None
+            fh.seek(0)
+        return fh.read()
+
+
+def _locked(file: Path, mode: str):
+    """`file` opened in `mode` and held under an exclusive `fcntl.flock`,
+    which closing it releases; None when there is no such file."""
+    try:
+        fh = open(file, mode)
+    except FileNotFoundError:
+        return None
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+    except BaseException:
+        fh.close()
+        raise
+    return fh
 
 
 # --- store ---------------------------------------------------------------------------
@@ -936,27 +1047,25 @@ def _fit(order, sizes: Sequence[int], budget: int) -> list[int]:
 class VideoSession:
     """One video's warm state for answering questions: the parsed transcript
     and the current memory, each with the very file bytes it was parsed
-    from or (the memory) serialized to. A file read again is parsed again
-    only when its bytes differ from those (an `==` compare, not a hash);
-    for a memory file, only the episode items that differ from the last
-    serialized file are parsed, when `reload` can tell which, else all.
-    Reflections are written through `store`, which knows the memory file as
-    `key`, when set, else kept in this process only. A store's session
-    belongs to the thread that opened it.
+    from or (the memory) written as. A file read again is parsed again
+    only when its bytes differ from those (an `==` compare, not a hash),
+    and then only as far as `reload` needs. Reflections are written through
+    `store`, which knows the memory file as `key`, when set, else kept in
+    this process only. A store's session belongs to the thread that opened
+    it.
 
-    The session also keeps the file bytes it last serialized, with the size
-    of each episode's UTF-8 JSON item in them, and, from the first
-    `memory_tokens` or `context` call on, each episode's memory-text lines
-    and their token count. A new memory version re-renders only the
-    episodes that are new objects (`reflect` replaces exactly one) and
-    copies the rest. After a store write, `memory_bytes` and the serialized
-    file are one object. From the first `context` call on, it also keeps
-    the retrieval indexes: content token -> transcript lines (with each
-    rendered line's token count) and content token -> episodes. A
-    reflection keeps the episode index, as it changes no summary; so does
-    a `reload` in which no summary changed. The caches go with the
-    transcript or memory they belong to when it is parsed again in full,
-    rebuilt, or the video changes."""
+    The session also keeps the memory file's snapshot (see `MemoryStore`)
+    and the memory it holds, and, from the first `memory_tokens` or
+    `context` call on, each episode's memory-text lines and their token
+    count. A note appended or folded on re-renders only the episode it
+    names; any other new memory is compared with the rendered one episode
+    by episode, and only the episodes that are new objects are re-rendered.
+    From the first `context` call on, it also keeps the retrieval indexes:
+    content token -> transcript lines (with each rendered line's token
+    count) and content token -> episodes. A note keeps the episode index, as
+    it changes no summary. The caches go with the transcript or memory they
+    belong to when it is parsed again in full, rebuilt, or the video
+    changes."""
 
     transcript: Transcript | None = None
     memory: EpisodicMemory | None = None
@@ -964,14 +1073,15 @@ class VideoSession:
     store: MemoryStore | None = None
     source: tuple[str, float | None] | None = None
     source_bytes: bytes | None = field(default=None, repr=False)
-    memory_bytes: bytes | None = field(default=None, repr=False)
-    # the last `serialize` result, the episodes it was rendered from and the
-    # size of each one's item in it; holding the episodes keeps their
-    # identities from being reused by new objects
-    _file: bytes = field(default=b"", repr=False)
-    _file_episodes: tuple[Episode, ...] = field(default=(), repr=False)
-    _sizes: list[int] = field(default_factory=list, repr=False)
-    # the same for the memory-text lines and their token counts
+    # the memory file's bytes that `memory` holds: its snapshot and whole
+    # note lines, a bytearray that appends grow in place; None when `memory`
+    # was not read from or written as a file
+    memory_bytes: bytes | bytearray | None = field(default=None, repr=False)
+    # the file's snapshot and the memory it holds
+    _snapshot: bytes = field(default=b"", repr=False)
+    _base: EpisodicMemory | None = field(default=None, repr=False)
+    # the episodes that the memory-text lines and their token counts were
+    # rendered from; holding them keeps their identities from being reused
     _episodes: tuple[Episode, ...] = field(default=(), repr=False)
     _text: list[str] | None = field(default=None, repr=False)
     _tokens: list[int] | None = field(default=None, repr=False)
@@ -981,11 +1091,30 @@ class VideoSession:
     _summaries: Postings | None = field(default=None, repr=False)
 
     def commit(self, memory: EpisodicMemory) -> None:
-        """Make `memory` the current version and write it out."""
+        """Make `memory`, a new version of the current memory, current and
+        write it out. Another writer's notes may be folded in first, so the
+        current version can end up above `memory`'s."""
         if self.store is not None:
             self.store.save(self.key, memory)
-        if self.memory is not memory:  # the store records it in its thread's session only
-            self.memory, self.memory_bytes = memory, None
+            if self.memory is not None and self.memory.version > memory.version:
+                return  # another writer's notes were folded in before it
+        if self.memory is not memory:  # no store, or it recorded it in its thread's session only
+            position = _noted_position(memory, self.memory)
+            self.adopt(memory, None, None if position is None else [position])
+
+    def adopt(
+        self,
+        memory: EpisodicMemory,
+        data: bytes | bytearray | None,
+        noted: Sequence[int] | None = None,
+    ) -> None:
+        """Make `memory` current, with `data` as its `memory_bytes`. `noted`
+        lists the positions of the episodes it changed from the current
+        memory (notes only); None when not known."""
+        current = self.memory
+        if noted is not None and current is not None and self._episodes is current.episodes:
+            self._sync(memory, noted)
+        self.memory, self.memory_bytes = memory, data
 
     def drop_transcript(self) -> None:
         """Forget the transcript and its line index."""
@@ -993,61 +1122,46 @@ class VideoSession:
 
     def drop_memory(self) -> None:
         """Forget the memory and everything rendered from it."""
-        self.memory, self.memory_bytes = None, None
-        self._file, self._file_episodes, self._sizes = b"", (), []
+        self.memory = self.memory_bytes = self._base = None
+        self._snapshot = b""
         self._episodes, self._text, self._tokens, self._summaries = (), None, None, None
 
     def reload(self, data: bytes) -> None:
         """Make `load_memory(data)`, a memory file's bytes, the current
-        memory, raising its `SchemaViolation` for an invalid file. Only the
-        episodes whose items differ from the last `serialize` result are
-        parsed: see `_reparse`. When that does not apply, `data` is parsed
-        in full and everything rendered from the old memory is dropped."""
-        memory = self._reparse(data)
-        if memory is None:
-            self.drop_memory()
-            memory = load_memory(data)
-        self.memory, self.memory_bytes = memory, data
-
-    def _reparse(self, data: bytes) -> EpisodicMemory | None:
-        """`load_memory(data)` when `data` is laid out as `save_memory`
-        writes it and has as many episodes as the last `serialize` result:
-        an item equal to that result's item at the same position is the
-        episode serialized there (the same object, so the caches keep what
-        they rendered from it), unless its span times are not floats as
-        `load_memory` makes them, and only the others are parsed. The whole
-        memory is checked as `load_memory` checks it. None for any other
-        file, or any that fails a check, for `load_memory` to report."""
-        old = self._file_episodes
-        split = _split_items(data) if old else None
-        if split is None or len(split[1]) != len(old):
-            return None
-        head, items = split
+        memory, raising its `SchemaViolation` for an invalid file. A file
+        that extends `memory_bytes` folds on only the lines after them; one
+        that starts with the snapshot the session holds folds its lines onto
+        that snapshot's memory, with no parse. Any other file is parsed in
+        full, and everything rendered from the old memory is dropped."""
+        held, snapshot = self.memory_bytes, self._snapshot
         try:
-            doc = json.loads(head.decode("utf-8") + "[]}")  # ends in "}": an object
-            version = _require(doc, "version", int, "$")
-            digest = _require(doc, "source_digest", str, "$")
-            if _memory_head(version, digest) != head:
-                return None
-            episodes = tuple(
-                ep
-                if item == last and type(ep.span[0]) is type(ep.span[1]) is float
-                else _load_episode(json.loads("{" + item.decode("utf-8")), f"$.episodes[{i}]")
-                for i, (ep, item, last) in enumerate(zip(old, items, _split_items(self._file)[1]))
-            )
-            return EpisodicMemory(episodes=episodes, version=version, source_digest=digest)
-        except (ValueError, RecursionError, SchemaViolation, InvariantViolation):
-            return None
+            if held is not None and held.endswith(b"\n") and data.startswith(held):
+                memory, size, noted = _fold(self.memory, data[len(held) :])
+                self.adopt(memory, data[: len(held) + size], noted)
+                return
+            if snapshot.endswith(b"\n") and data.startswith(snapshot):
+                memory, size, _ = _fold(self._base, data[len(snapshot) :])
+                self.adopt(memory, data[: len(snapshot) + size])
+                return
+        except SchemaViolation:
+            pass  # the full parse below raises it, naming the line as counted from the snapshot
+        base, size = _read_snapshot(data)
+        memory, folded, _ = _fold(base, data[size:])
+        self.drop_memory()
+        self._snapshot, self._base = data[:size], base
+        self.adopt(memory, data[: size + folded])
 
-    def _sync(self, memory: EpisodicMemory) -> None:
-        """Bring the memory-text cache and the episode index up to `memory`."""
+    def _sync(self, memory: EpisodicMemory, positions: Sequence[int] | None = None) -> None:
+        """Bring the memory-text cache and the episode index up to `memory`:
+        the episodes at `positions` when given, else every one."""
         episodes, old = memory.episodes, self._episodes
         if episodes is old:
             return
         if len(episodes) != len(old):
             self._text = self._tokens = self._summaries = None
         else:
-            for i, ep in enumerate(episodes):
+            for i in range(len(episodes)) if positions is None else positions:
+                ep = episodes[i]
                 if ep is old[i]:
                     continue
                 if self._text is not None:
@@ -1056,35 +1170,6 @@ class VideoSession:
                 if ep.schematic_summary != old[i].schematic_summary:
                     self._summaries = None
         self._episodes = episodes
-
-    def serialize(self, memory: EpisodicMemory) -> bytes:
-        """`save_memory(memory)`. Only the episodes that are new objects
-        since the last call are rendered; the other items are copied from
-        the last result, all in one join."""
-        self._sync(memory)
-        episodes, old = memory.episodes, self._file_episodes
-        if len(episodes) != len(old) or not old:
-            items = [_episode_json(ep).encode("utf-8") for ep in episodes]
-            sizes = [len(item) for item in items]
-            data = _memory_json(memory, items)
-        else:
-            last, sizes = memoryview(self._file), list(self._sizes)
-            end = len(last) - len(_LIST_TAIL)
-
-            def start(i: int) -> int:  # where item i begins, counted back from the tail
-                return end - sum(sizes[i:]) - (len(sizes) - 1 - i) * len(_ITEM_SEP)
-
-            head = _memory_head(memory.version, memory.source_digest)
-            pieces, pos = [head + _LIST_HEAD], start(0)
-            for i in [i for i, ep in enumerate(episodes) if ep is not old[i]]:
-                item = _episode_json(episodes[i]).encode("utf-8")
-                begin = start(i)  # items after i keep their sizes
-                pieces += (last[pos:begin], item)
-                pos, sizes[i] = begin + sizes[i], len(item)
-            pieces.append(last[pos:])
-            data = b"".join(pieces)
-        self._file, self._file_episodes, self._sizes = data, episodes, sizes
-        return data
 
     def _texts(self) -> tuple[list[str], list[int]]:
         """Each episode's `memory_text` lines and their token count,
@@ -1158,14 +1243,19 @@ class MemoryStore:
     write of one goes through a store. Each operation takes a `key` that
     `path` maps to its file: a video id, or a file in the store's directory.
     A missing directory is made on the first write; a file that cannot be
-    read, parsed or written raises `MemoryFileError` naming it. Writes are
-    serialized per file within this process (write-then-rename); nothing
-    coordinates two processes that write one file, so one's notes can be
-    lost. Each thread keeps one `VideoSession`, for the key it last used.
-    Every call reads the file again, to see edits by other processes, but
-    parses it again only when its bytes differ from those the session last
-    read or wrote (an `==` compare, so no file is hashed), and then only
-    the episode items that differ (`VideoSession.reload`)."""
+    read, parsed or written raises `MemoryFileError` naming it.
+
+    A memory file is a snapshot, the `save_memory` bytes of a memory,
+    followed by zero or more note lines, one `_note_line` per reflection
+    since. A build writes a new snapshot alone; a reflection appends its
+    line (`save`). Both hold an exclusive `fcntl.flock` on the file they
+    change, so writers in other processes keep every note; within this
+    process they are also serialized per file. Nothing is fsynced. Each
+    thread keeps one `VideoSession`, for the key it last used. Every call
+    reads the file again, to see edits by other processes, but parses it
+    again only when its bytes differ from those the session last read or
+    wrote (an `==` compare, so no file is hashed), and then only as far as
+    `VideoSession.reload` needs."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -1208,37 +1298,84 @@ class MemoryStore:
         return session
 
     def _write(self, file: Path, memory: EpisodicMemory, session: VideoSession) -> None:
-        session.memory, session.memory_bytes = None, None
-        data = session.serialize(memory)
+        """Write `memory` as `file`'s snapshot with no note lines: a new file
+        renamed over the old one, under the lock that appends take."""
+        session.memory = session.memory_bytes = None
+        data = save_memory(memory)
         try:
-            try:
-                _write_atomic(file, data)
-            except FileNotFoundError:  # the directory is missing
+            with _locked(file, "rb") or nullcontext():
                 file.parent.mkdir(parents=True, exist_ok=True)
                 _write_atomic(file, data)
         except OSError as exc:
             raise MemoryFileError(str(file), exc.strerror or str(exc)) from None
-        session.memory, session.memory_bytes = memory, data
+        session._snapshot, session._base = data, memory
+        session.adopt(memory, data)
 
     def save(self, key: str | Path, memory: EpisodicMemory) -> None:
-        """Write `memory`, a reflection's new version, as `key`'s file."""
+        """Write `memory`, a new version of `key`'s memory. When a
+        reflection made it from the memory the session read from the file
+        (`_noted_position`), its note is appended as one line, under the
+        file's lock, once the locked file is checked to be the one at the
+        path and to start with the bytes the session read. Whole note lines
+        another writer appended since are folded in first, and the note
+        takes the next version; a torn last line is cut. A file rebuilt or
+        edited since raises `MemoryFileError` and is left as it is. Any
+        other memory is written as a new snapshot (`_write`)."""
         file = self.path(key)
         with self._lock(file):
-            self._write(file, memory, self._session(key))
+            session = self._session(key)
+            current, held = session.memory, session.memory_bytes
+            position = _noted_position(memory, current)
+            if position is None or held is None or not held.endswith(b"\n"):
+                self._write(file, memory, session)
+                return
+            note = memory.episodes[position].reflections[-1]
+            try:
+                fh = _locked(file, "r+b")
+                if fh is None:  # deleted: write the memory anew
+                    self._write(file, memory, session)
+                    return
+                with fh:
+                    rest = _read_after(fh, held)
+                    if rest is None or not os.path.samestat(os.fstat(fh.fileno()), os.stat(file)):
+                        raise MemoryFileError(
+                            str(file), "rebuilt or edited since it was read; note not written"
+                        )
+                    try:
+                        current, size, noted = _fold(current, rest)
+                    except SchemaViolation as exc:
+                        raise MemoryFileError(str(file), str(exc)) from None
+                    if size < len(rest):
+                        fh.truncate(len(held) + size)
+                    if noted:  # another writer's notes came first
+                        note = replace(note, created_version=current.version + 1)
+                        memory = _with_note(current, position, note)
+                    line = _note_line(position, note)
+                    fh.seek(len(held) + size)
+                    fh.write(line)
+            except OSError as exc:
+                raise MemoryFileError(str(file), exc.strerror or str(exc)) from None
+            # grown in place: a copy of the whole file per note would cost
+            # more than the append
+            held = held if isinstance(held, bytearray) else bytearray(held)
+            held += rest[:size] + line
+            session.adopt(memory, held, noted + [position])
 
     def build(
         self, key, transcript, backend, params=MemoryParams(), templates=None, write=True
     ) -> VideoSession:
         """The session for `key`'s file holding a fresh memory of
-        `transcript`, written as the file whatever it held (kept in the
-        session only when `write` is false)."""
+        `transcript`, written as the file's snapshot whatever it held (kept
+        in the session only when `write` is false)."""
         file = self.path(key)
         with self._lock(file):
             session = self._session(key, transcript)
             session.drop_memory()
-            session.memory = build_memory(transcript, backend, params, templates)
+            memory = build_memory(transcript, backend, params, templates)
             if write:
-                self._write(file, session.memory, session)
+                self._write(file, memory, session)
+            else:
+                session.adopt(memory, None)
             return session
 
     def open(
@@ -1250,14 +1387,15 @@ class MemoryStore:
         file = self.path(key)
         with self._lock(file):
             session = self._session(key, transcript)
+            held = None if session.memory is None else session.memory_bytes
             try:
-                data = file.read_bytes()
+                data, exists = _read_changed(file, held), True
             except FileNotFoundError as exc:
-                data, reason = None, exc.strerror
+                exists, reason = False, exc.strerror
             except OSError as exc:
                 raise MemoryFileError(str(file), exc.strerror or str(exc)) from None
-            if data is not None:
-                if session.memory is None or session.memory_bytes != data:
+            if exists:
+                if data is not None:
                     try:
                         session.reload(data)
                     except SchemaViolation as exc:

@@ -92,8 +92,8 @@ class TestAsk:
         code = run_cli(*self._ask_args(tmp_path, "--config", f"templates_dir={templates}"))
         assert code == EXIT_OK
         assert "Memory version: 2" in capsys.readouterr().out
-        saved = json.loads((tmp_path / "vid01.memory.json").read_text())
-        notes = [n["summary"] for ep in saved["episodes"] for n in ep["reflections"]]
+        saved = load_memory((tmp_path / "vid01.memory.json").read_bytes())
+        notes = [n.summary for ep in saved.episodes for n in ep.reflections]
         assert notes == ["(B) they throw food into a big bowl to mix"]
 
     def test_repeat_is_deterministic(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import fcntl
 import json
 from pathlib import Path
 
@@ -189,10 +190,10 @@ class TestRunPipeline:
         run_pipeline(items["q0101"], RunConfig(reflect=False), backends, store)
         before = store.path("vid01").read_bytes()
 
-        def broken_replace(self, target):
+        def broken_flock(fd, operation):  # a reflection appends under the file's lock
             raise OSError("disk gone")
 
-        monkeypatch.setattr(Path, "replace", broken_replace)
+        monkeypatch.setattr(fcntl, "flock", broken_flock)
         with pytest.raises(StageError) as exc:
             run_pipeline(items["q0101"], RunConfig(), backends, store)
         assert exc.value.stage == "memory"

@@ -1031,22 +1031,27 @@ def test_span_index_carried_through_reflections_matches_scan(spans, steps):
 def test_reloaded_or_rebuilt_memory_never_reuses_a_stale_index(
     first, second, perception, tmp_path_factory
 ):
-    """Only `reflect` hands an index on: a memory parsed again from its file,
-    one made with `dataclasses.replace` and one rebuilt each get their own."""
+    """Only a note hands an index on: a memory parsed again from its file,
+    one made with `dataclasses.replace` and one rebuilt each get their own.
+    A file reset to the snapshot the session holds is not parsed again: it
+    is that snapshot's memory, with the index it computed."""
     backend = ReferenceBackend()
     transcript = make_transcript([(0.0, 1.0, "crimson river")])
     store = MemoryStore(tmp_path_factory.mktemp("mem"))
-    store.path("v").write_bytes(save_memory(_memory_of(first, transcript.digest)))
+    snapshot = save_memory(_memory_of(first, transcript.digest))
+    store.path("v").write_bytes(snapshot)
     loaded = store.get_or_build("v", transcript, backend)
     stale = reflect("q", _OPTIONS, "A", "evidence", loaded, perception, backend)
     store.save("v", stale)
     assert stale.span_index is loaded.span_index
 
-    store.path("v").write_bytes(save_memory(_memory_of(second, transcript.digest)))
+    second_snapshot = save_memory(_memory_of(second, transcript.digest))
+    store.path("v").write_bytes(second_snapshot)
     reloaded = store.get_or_build("v", transcript, backend)
+    assert (reloaded is loaded) == (second_snapshot == snapshot)
     replaced = replace(stale, episodes=reloaded.episodes)
     rebuilt = store.get_or_build("v", make_transcript([(0.0, 1.0, "palette")]), backend)
-    for memory in (reloaded, replaced, rebuilt):
+    for memory in (replaced, rebuilt) if reloaded is loaded else (reloaded, replaced, rebuilt):
         assert memory is not stale
         assert memory.span_index is not stale.span_index
         assert memory.span_index == replace(memory).span_index

@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gcagent.memory
-from gcagent.errors import MemoryFileError, SchemaViolation
+from gcagent.errors import MemoryFileError, SchemaViolation, StageError, TornLineWarning
 from gcagent.harness import BackendPair, RunConfig, evaluate, load_manifest, run_pipeline
 from gcagent.memory import (
     CausalLink,
@@ -95,17 +99,11 @@ class TestInvalidation:
         assert current.version == 2
         (version, summary), = _notes(current)
 
-        # same size: one note summary changed in place, length kept
+        # same size: the note line's summary changed in place, length kept
         edited = summary[:-1] + ("x" if summary[-1] != "x" else "y")
-        episodes = tuple(
-            dataclasses.replace(
-                ep,
-                reflections=tuple(dataclasses.replace(n, summary=edited) for n in ep.reflections),
-            )
-            for ep in current.episodes
-        )
-        same_size = save_memory(dataclasses.replace(current, episodes=episodes))
-        assert len(same_size) == len(path.read_bytes())
+        data = path.read_bytes()
+        same_size = data.replace(summary.encode(), edited.encode())
+        assert same_size != data and len(same_size) == len(data)
         path.write_bytes(same_size)
         run_pipeline(items[1], RunConfig(), backends, store)
         after = load_memory(path.read_bytes())
@@ -195,13 +193,15 @@ def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, mo
             episodes = len(load_memory(store.path("vid01").read_bytes()).episodes)
             assert episodes > 1
         # every episode once for the first question (the build's write and
-        # the first memory block), then the one reflected episode per
-        # question; reflection's prompt also renders its target episode
-        assert len(json_renders) == episodes + k
+        # the first memory block), then the one reflected episode's text per
+        # question, whose note is appended as a line; reflection's prompt
+        # also renders its target episode
+        assert len(json_renders) == episodes
         assert len(text_renders) == episodes + 2 * k
     assert len(parses) == 1
     assert len(loads) == 0
-    assert len(texts) == len(saves) == 0
+    assert len(texts) == 0
+    assert len(saves) == 1  # the build's snapshot; each note is a line
     final = load_memory(store.path("vid01").read_bytes())
     assert final.version == 11
     assert [v for v, _ in _notes(final)] == list(range(2, 12))
@@ -214,7 +214,43 @@ def _assert_session_renders(session: VideoSession) -> None:
     assert whole.memory_block == wrap_block("memory", text)
     assert whole.episodes == session.memory.episodes
     assert session.memory_tokens() == count_tokens(text).count
-    assert session.serialize(session.memory) == save_memory(session.memory)
+
+
+def _same(a: EpisodicMemory, b: EpisodicMemory) -> bool:
+    """Equal memories, nan spans included (nan != nan as a float)."""
+    return save_memory(a) == save_memory(b)
+
+
+def _assert_file_holds(path: Path, session: VideoSession) -> None:
+    """The file is the bytes the session read or wrote, and holds its memory."""
+    data = path.read_bytes()
+    assert data == session.memory_bytes
+    assert _same(load_memory(data), session.memory)
+
+
+def _note_line(memory: EpisodicMemory) -> bytes:
+    """The note line of `memory`'s newest note, as the file format defines it."""
+    (position, note), = [
+        (i, note)
+        for i, ep in enumerate(memory.episodes)
+        for note in ep.reflections
+        if note.created_version == memory.version
+    ]
+    doc = {
+        "episode": position,
+        "query": note.query,
+        "answer_id": note.answer_id,
+        "summary": note.summary,
+        "created_version": note.created_version,
+    }
+    return (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _assert_appended(before: bytes, path: Path, session: VideoSession) -> None:
+    """The file is `before` plus exactly the newest note's line, and holds
+    the session's memory."""
+    assert path.read_bytes() == before + _note_line(session.memory)
+    _assert_file_holds(path, session)
 
 
 _WORDS = st.sampled_from(["pan", "Bob", "caf\u00e9", '"q"', "back\\slash", "|", "\u2028", "eggs"])
@@ -254,13 +290,17 @@ def test_session_renders_equal_one_shot_functions(steps):
         base = store.path(vid).read_bytes()
         for action, span, words in steps:
             if action == "reflect":
+                before = store.path(vid).read_bytes()
                 session.commit(reflected(session.memory, span, words))
+                _assert_appended(before, store.path(vid), session)
             elif action == "reload":  # rewritten behind the session
                 store.path(vid).write_bytes(base)
             elif action == "second_store":
                 other = MemoryStore(Path(root) / "mem")
                 other_session = open_session(other, vid)
+                before = other.path(vid).read_bytes()
                 other_session.commit(reflected(other_session.memory, span, words))
+                _assert_appended(before, other.path(vid), other_session)
                 _assert_session_renders(other_session)
             elif action == "switch":
                 vid = "vid02" if vid == "vid01" else "vid01"
@@ -270,13 +310,14 @@ def test_session_renders_equal_one_shot_functions(steps):
                 path.write_bytes(save_memory(session.memory))
                 cli = MemoryStore(path.parent).open(path, session.transcript)
                 for _ in range(2):
+                    before = path.read_bytes()
                     cli.commit(reflected(cli.memory, span, words))
-                    assert path.read_bytes() == save_memory(cli.memory)
+                    _assert_appended(before, path, cli)
                     _assert_session_renders(cli)
             session = open_session(store, vid)
             if base is None:
                 base = store.path(vid).read_bytes()
-            assert store.path(vid).read_bytes() == save_memory(session.memory)
+            _assert_file_holds(store.path(vid), session)
             _assert_session_renders(session)
 
 
@@ -307,11 +348,12 @@ _SPANS = st.lists(
         max_size=8,
     ),
 )
-def test_serialize_matches_save_memory_over_reflections(spans, words, steps):
-    """Byte for byte `save_memory`, whether the session copies unchanged
-    items from its last file or renders all of them: non-ASCII summaries,
-    entities and notes, inf and nan spans, versions gaining a digit, and
-    memories whose episodes are all other objects or fewer."""
+def test_store_writes_snapshots_and_note_lines_over_reflections(spans, words, steps):
+    """Each reflection appends exactly its note line, and any other memory
+    is written as its `save_memory` snapshot: non-ASCII summaries, entities
+    and notes, inf and nan spans, versions gaining a digit, and memories
+    whose episodes are all other objects or fewer. The file always loads as
+    the session's memory."""
     text = " ".join(words)
     memory = EpisodicMemory(
         episodes=tuple(
@@ -327,22 +369,36 @@ def test_serialize_matches_save_memory_over_reflections(spans, words, steps):
         version=8,
         source_digest=text,
     )
-    first, reference, session = memory, ReferenceBackend(), VideoSession()
-    assert session.serialize(memory) == save_memory(memory)
-    for action, (lo, width), note_words in steps:
-        if action == "reflect":
-            note = " ".join(note_words)
-            memory = reflect(
-                note, (("A", "a"), ("B", "b")), "A", "ev " + note, memory,
-                [(lo, lo + width)], reference,
-            )
-        elif action == "first":
-            memory = first
-        elif action == "reloaded":  # equal content, every episode a new object
-            memory = load_memory(save_memory(memory))
-        else:
-            memory = dataclasses.replace(memory, episodes=memory.episodes[:-1] or memory.episodes)
-        assert session.serialize(memory) == save_memory(memory)
+    first, reference = memory, ReferenceBackend()
+    with tempfile.TemporaryDirectory() as root:
+        store = MemoryStore(Path(root))
+        path = store.path("v")
+        store.save("v", memory)
+        session = store.session("v", str(FIXTURES / "videos" / "vid01.srt"))
+        assert path.read_bytes() == save_memory(session.memory)
+        for action, (lo, width), note_words in steps:
+            before = path.read_bytes()
+            if action == "reflect":
+                note = " ".join(note_words)
+                session.commit(
+                    reflect(
+                        note, (("A", "a"), ("B", "b")), "A", "ev " + note, session.memory,
+                        [(lo, lo + width)], reference,
+                    )
+                )
+                _assert_appended(before, path, session)
+                continue
+            if action == "first":
+                memory = first
+            elif action == "reloaded":  # equal content, every episode a new object
+                memory = load_memory(before)
+            else:
+                current = session.memory
+                memory = dataclasses.replace(current, episodes=current.episodes[:-1] or current.episodes)
+            session.commit(memory)
+            assert path.read_bytes() == save_memory(memory)
+            _assert_file_holds(path, session)
+            _assert_session_renders(session)
 
 
 _OPTIONS = (("A", "a"), ("B", "b"))
@@ -350,7 +406,7 @@ _RELOAD_SPANS = st.sampled_from([(0.0, 1.5), (2.0, 7.25), (2, 7), (1.0, 1.0), (_
 _REWRITES = st.sampled_from(
     [
         "note", "unnote", "summary", "count", "base", "indent4", "sort_keys", "item_keys",
-        "bad_item", "bad_json", "future_note",
+        "bad_item", "bad_json", "future_note", "appended", "torn",
     ]
 )
 
@@ -402,10 +458,12 @@ def _rewritten(memory: EpisodicMemory, base: EpisodicMemory, action: str, k: int
     ),
 )
 def test_reload_after_a_rewrite_equals_a_full_parse(spans, steps):
-    """A memory file rewritten behind the store opens as `load_memory` of
-    its bytes, renders as the one-shot functions do, and the next write is
-    `save_memory` of it; an invalid file raises the error a full parse
-    gives, and a later valid one is read again."""
+    """A memory file rewritten behind the store, given note lines by a
+    second store or left with a torn last line opens as `load_memory` of its
+    bytes, renders as the one-shot functions do, and the next reflection
+    appends one line to its whole lines; a torn line is dropped with one
+    warning per read. An invalid file raises the error a full parse gives,
+    and a later valid one is read again."""
     transcript = load_transcript(str(FIXTURES / "videos" / "vid01.srt"))
     reference = ReferenceBackend()
     base = EpisodicMemory(
@@ -429,18 +487,38 @@ def test_reload_after_a_rewrite_equals_a_full_parse(spans, steps):
         store.save("v", base)
         memory = held = base  # the last valid memory; the one the session holds
         for action, k, reflects, at in steps:
-            data = _rewritten(memory, base, action, k)
             previous = path.read_bytes()
-            path.write_bytes(data)
-            try:
-                expected = load_memory(data)
-            except SchemaViolation as exc:
-                with pytest.raises(MemoryFileError) as info:
-                    store.open("v", transcript)
-                assert str(info.value) == f"{path}: {exc}"
-                held = None
-                continue
-            session = store.open("v", transcript)
+            if action == "appended":  # a second store appends a note line
+                try:
+                    with warnings.catch_warnings():  # it drops and cuts a torn line
+                        warnings.simplefilter("ignore", TornLineWarning)
+                        other = MemoryStore(Path(root)).open("v", transcript)
+                        other.commit(
+                            reflect("q2", _OPTIONS, "B", "ev other", other.memory, [(at, at)], reference)
+                        )
+                except MemoryFileError:  # the file is invalid: it stays so
+                    pass
+                data = path.read_bytes()
+            else:
+                data = previous + b'{"episode": 0, "query": "cut' if action == "torn" else (
+                    _rewritten(memory, base, action, k)
+                )
+                path.write_bytes(data)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TornLineWarning)
+                try:
+                    expected = load_memory(data)
+                except SchemaViolation as exc:
+                    with pytest.raises(MemoryFileError) as info:
+                        store.open("v", transcript)
+                    assert str(info.value) == f"{path}: {exc}"
+                    held = None
+                    continue
+                session = store.open("v", transcript)
+            # dropped by `load_memory` and again by the store, which holds
+            # only the whole lines
+            torn = not data.endswith(b"\n")
+            assert [w.category for w in caught] == [TornLineWarning] * (2 * torn)
             if data == previous and held is not None:  # not read again
                 assert session.memory is held
             else:
@@ -448,16 +526,20 @@ def test_reload_after_a_rewrite_equals_a_full_parse(spans, steps):
             _assert_session_renders(session)
             memory = held = session.memory
             if reflects:
-                session.commit(
-                    reflect("q", _OPTIONS, "A", "ev pan", memory, [(at, at + 1.0)], reference)
-                )
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", TornLineWarning)
+                    session.commit(
+                        reflect("q", _OPTIONS, "A", "ev pan", memory, [(at, at + 1.0)], reference)
+                    )
+                assert [w.category for w in caught] == [TornLineWarning] * torn  # and cut
                 memory = held = session.memory
-                assert path.read_bytes() == save_memory(memory)
+                _assert_appended(data[: data.rfind(b"\n") + 1], path, session)
 
 
-def test_reset_to_the_base_parses_only_the_changed_items(tmp_path, monkeypatch):
-    """A file reset to its version-1 base after 50 notes, as the benchmark
-    does each round, parses the 50 noted items, not all 200 episodes."""
+def test_reset_to_the_base_parses_nothing(tmp_path, monkeypatch):
+    """A file reset to its version-1 snapshot after 50 note lines, as the
+    benchmark does each round, is the snapshot's memory the session holds:
+    nothing is parsed, and the next note is appended to the snapshot."""
     transcript = load_transcript(str(FIXTURES / "videos" / "vid01.srt"))
     reference = ReferenceBackend()
     base = EpisodicMemory(
@@ -488,8 +570,161 @@ def test_reset_to_the_base_parses_only_the_changed_items(tmp_path, monkeypatch):
     loads = _count_calls(monkeypatch, gcagent.memory, "load_memory")
     store.path("v").write_bytes(base_bytes)
     reset = store.open("v", transcript)
-    assert len(parses) == 50
+    assert len(parses) == 0
     assert not loads
-    assert reset.memory == base
+    assert reset.memory is base
     assert all((ep is old) == (not old.reflections) for ep, old in zip(reset.memory.episodes, noted))
-    assert reset.serialize(reset.memory) == base_bytes
+    reset.commit(reflect("q", _OPTIONS, "A", "ev", reset.memory, [(0.1, 0.4)], reference))
+    _assert_appended(base_bytes, store.path("v"), reset)
+
+
+def test_each_reflection_appends_one_line(tmp_path, vid01, backends):
+    """After every reflection the memory file is the previous bytes plus
+    exactly that note's line, and it loads as the session's memory."""
+    srt, items = vid01
+    store = MemoryStore(tmp_path / "mem")
+    path = store.path("vid01")
+    run_pipeline(items[0], RunConfig(reflect=False), backends, store)
+    snapshot = path.read_bytes()
+    assert snapshot == save_memory(load_memory(snapshot))
+    for k in range(6):
+        before = path.read_bytes()
+        run_pipeline(dataclasses.replace(items[k % 2], question_id=f"q{k}"), RunConfig(), backends, store)
+        session = store.session("vid01", str(srt), items[k % 2].duration_s)
+        assert session.memory.version == k + 2
+        _assert_appended(before, path, session)
+    assert path.read_bytes().startswith(snapshot)
+
+
+def _reflect_on(memory: EpisodicMemory, k: int) -> EpisodicMemory:
+    return reflect(f"q{k}", _OPTIONS, "A", f"ev {k}", memory, [(k % 20, k % 20 + 1.0)], ReferenceBackend())
+
+
+def test_torn_last_line_is_dropped_then_cut(tmp_path):
+    """A file cut mid-line, as a writer that stopped mid-append leaves it,
+    opens with that line dropped and counted; the next reflection cuts the
+    fragment and appends a whole line."""
+    transcript = load_transcript(str(FIXTURES / "videos" / "vid01.srt"))
+    store = MemoryStore(tmp_path)
+    session = store.build("v", transcript, ReferenceBackend())
+    for k in range(2):
+        session.commit(_reflect_on(session.memory, k))
+    path = store.path("v")
+    data = path.read_bytes()
+    whole = data[: data.rfind(b"\n", 0, -1) + 1]  # without the last note line
+    path.write_bytes(data[:-10])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        session = MemoryStore(tmp_path).open("v", transcript)
+        assert [w.category for w in caught] == [TornLineWarning]
+        assert session.memory.version == 2
+        assert _same(session.memory, load_memory(whole))
+        session.commit(_reflect_on(session.memory, 2))
+        assert [w.category for w in caught] == [TornLineWarning] * 2  # read again, and cut
+    assert session.memory.version == 3
+    _assert_appended(whole, path, session)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_memory(path.read_bytes()).version == 3
+
+
+def test_bad_line_before_the_last_names_the_file(tmp_path):
+    transcript = load_transcript(str(FIXTURES / "videos" / "vid01.srt"))
+    store = MemoryStore(tmp_path)
+    session = store.build("v", transcript, ReferenceBackend())
+    snapshot = store.path("v").read_bytes()
+    session.commit(_reflect_on(session.memory, 0))
+    line = store.path("v").read_bytes()[len(snapshot) :]
+    for bad in (b"not a note\n", b'{"episode": 9999}\n', line):  # the last: version 2 twice
+        store.path("v").write_bytes(snapshot + line + bad + line.replace(b": 2}", b": 3}"))
+        with pytest.raises(MemoryFileError) as exc:
+            MemoryStore(tmp_path).open("v", transcript)
+        assert exc.value.path == str(store.path("v"))
+        assert "note line 2" in str(exc.value)
+
+
+class _Rebuilding:
+    """The reference backend; before its first reflection answer, another
+    store builds the memory file anew."""
+
+    def __init__(self, store, transcript):
+        self.inner = ReferenceBackend()
+        self.profile = self.inner.profile
+        self.store, self.transcript, self.rebuilt = store, transcript, None
+
+    def complete(self, request):
+        if request.context["stage"] == "reflection" and self.rebuilt is None:
+            self.store.build("vid01", self.transcript, self.inner)
+            self.rebuilt = self.store.path("vid01").read_bytes()
+        return self.inner.complete(request)
+
+
+def test_rebuild_between_open_and_commit_fails_the_memory_stage(tmp_path, vid01, backends):
+    srt, items = vid01
+    store = MemoryStore(tmp_path / "mem")
+    run_pipeline(items[0], RunConfig(), backends, store)
+    transcript = load_transcript(str(srt), video_duration_s=items[1].duration_s)
+    rebuilding = _Rebuilding(MemoryStore(tmp_path / "mem"), transcript)
+    with pytest.raises(StageError) as exc:
+        run_pipeline(items[1], RunConfig(), BackendPair(rebuilding, backends.reasoner), store)
+    assert exc.value.stage == "memory"
+    assert isinstance(exc.value.cause, MemoryFileError)
+    assert exc.value.cause.path == str(store.path("vid01"))
+    assert store.path("vid01").read_bytes() == rebuilding.rebuilt
+    run_pipeline(items[1], RunConfig(), backends, store)  # the next question reads it again
+    assert load_memory(store.path("vid01").read_bytes()).version == 2
+
+
+_WRITER = """
+import sys, time
+from pathlib import Path
+from gcagent.memory import MemoryStore, reflect
+from gcagent.reference import ReferenceBackend
+from gcagent.transcript import load_transcript
+
+path, srt, name, count = Path(sys.argv[1]), sys.argv[2], sys.argv[3], int(sys.argv[4])
+session = MemoryStore(path.parent).open(path, load_transcript(srt))
+(path.parent / f"ready-{name}").touch()
+while not (path.parent / "go").exists():
+    time.sleep(0.001)
+for k in range(count):
+    evidence = f"ev {name} {k}"
+    spans = [(k % 20, k % 20 + 1.0)]
+    session.commit(
+        reflect(f"{name} q{k}", (("A", "a"),), "A", evidence, session.memory, spans, ReferenceBackend())
+    )
+"""
+
+
+def test_four_processes_keep_every_note(tmp_path):
+    """Four processes, each with its own store, commit M reflections to one
+    file at once: every note is kept, with versions 2..4M+1."""
+    count, srt = 25, str(FIXTURES / "videos" / "vid01.srt")
+    path = tmp_path / "shared.json"
+    MemoryStore(tmp_path).build(path, load_transcript(srt), ReferenceBackend())
+    package = str(Path(gcagent.memory.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))}
+    names = [f"w{i}" for i in range(4)]
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(path), srt, name, str(count)], env=env)
+        for name in names
+    ]
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.glob("ready-*"))) < 4 and time.monotonic() < deadline:
+            if any(w.poll() is not None for w in writers):
+                break
+            time.sleep(0.01)
+        (tmp_path / "go").touch()
+        codes = [w.wait(timeout=120) for w in writers]
+    finally:
+        for w in writers:
+            if w.poll() is None:
+                w.kill()
+                w.wait()
+    assert codes == [0] * 4
+    memory = load_memory(path.read_bytes())
+    notes = [note for ep in memory.episodes for note in ep.reflections]
+    assert memory.version == 4 * count + 1
+    assert sorted(n.created_version for n in notes) == list(range(2, 4 * count + 2))
+    assert sorted(n.query for n in notes) == sorted(f"{w} q{k}" for w in names for k in range(count))

@@ -74,9 +74,6 @@ from .transcript import (
     parse_caption_doc,
     parse_srt,
     parse_vtt,
-    serialize_caption_doc,
-    serialize_srt,
-    serialize_vtt,
     transcript_digest,
 )
 

@@ -24,6 +24,7 @@ from .backend import (
     TextPart,
     answer_field,
     complete_text,
+    encodable,
     render_template,
 )
 from .errors import (
@@ -55,6 +56,8 @@ class Query:
     def __post_init__(self):
         if len(self.options) < 2:
             raise InvariantViolation("a query needs at least two options")
+        if not all(encodable(text) for text in (self.text, *(t for _, t in self.options))):
+            raise InvariantViolation("query or option text cannot be written as UTF-8")
         labels = [label for label, _ in self.options]
         expected = [chr(ord("A") + i) for i in range(len(labels))]
         if labels != expected:

@@ -107,13 +107,21 @@ def format_episode_line(
     role: str | None = None,
     links: Sequence[tuple[str, int]] | None = None,
 ) -> str:
+    """`「id | start-end | summary」`, or in the narrative form (a `role`)
+    `「id | start-end | role | summary | links」`. The links field leaves out
+    a `precedes` link to `episode_id - 1`, which the listing's order already
+    says, and is itself left out when no link remains."""
     fields = [f"{episode_id}", f"{start_s:.2f}-{end_s:.2f}"]
     if role is not None:
         fields.append(role)
     fields.append(clean_field(summary))
     if role is not None:
-        rendered = ",".join(f"{rel}->{target}" for rel, target in (links or ())) or "none"
-        fields.append(rendered)
+        implied = ("precedes", episode_id - 1)
+        listed = ",".join(
+            f"{rel}->{target}" for rel, target in links or () if (rel, target) != implied
+        )
+        if listed:
+            fields.append(listed)
     return "「" + " | ".join(fields) + "」"
 
 
@@ -123,7 +131,8 @@ def format_note_line(created_version: int, answer_id: str, summary: str) -> str:
 
 def parse_episode_lines(inner: str) -> list[dict]:
     """Read episode lines back out of a memory block. Returns dicts with
-    id, start_s, end_s, summary, and (for the narrative form) role/links."""
+    id, start_s, end_s, summary, and (for the narrative form) role/links:
+    the links the line lists, without the `precedes` link it implies."""
     episodes = []
     for raw in inner.split("\n"):
         if not raw.startswith("「"):
@@ -134,6 +143,9 @@ def parse_episode_lines(inner: str) -> list[dict]:
         fields = list(map(str.strip, raw[1:-1].split(" | ")))
         if len(fields) == 5:
             eid, span, role, summary, links_raw = fields
+        elif len(fields) == 4:
+            eid, span, role, summary = fields
+            links_raw = ""
         elif len(fields) == 3:
             eid, span, summary = fields
             role, links_raw = None, None
@@ -152,11 +164,10 @@ def parse_episode_lines(inner: str) -> list[dict]:
             continue
         if links_raw is not None:
             links = []
-            if links_raw != "none":
-                for chunk in links_raw.split(","):
-                    rel, _, target = chunk.partition("->")
-                    if target.strip().lstrip("-").isdigit():
-                        links.append((rel.strip(), int(target)))
+            for chunk in links_raw.split(","):
+                rel, _, target = chunk.partition("->")
+                if target.strip().lstrip("-").isdigit():
+                    links.append((rel.strip(), int(target)))
             entry["links"] = links
         episodes.append(entry)
     return episodes

@@ -9,21 +9,19 @@ reading the same prompts a live model would receive:
 - abstraction: one request lists a batch of units in a ``<units>`` block
   (``N: first-last``) over one ``<transcript>`` block. For each listed unit,
   in listing order, the unit text is the text of the transcript rows whose
-  index lies in first..last, joined by spaces; its summary is "Event N:"
-  plus that text truncated to the token budget, and its entities are the
-  capitalized non-function-word tokens in order of first occurrence. The
-  response is ``{"units": [{"summary", "entities"}, ...]}``.
+  index lies in first..last, joined by spaces; its summary is that text
+  truncated to the token budget (the ordinal is not repeated in it), and its
+  entities are the capitalized non-function-word tokens in order of first
+  occurrence. The response is ``{"units": [{"summary", "entities"}, ...]}``.
 - narrative: first unit is the introduction and the last the resolution;
   middles are conflict when their summary contains a conflict-lexicon token,
   else development. Every unit k>0 precedes-links to k-1. Overlap counts the
-  distinct content tokens two summary bodies share, a body being the summary
-  without a leading "Event N:" (which every abstraction summary has, so it
-  would make any two summaries overlap). Unit k gains a refers_back link to
-  earlier units j <= k-2 whose body shares at least ``refers_back_overlap``
-  tokens with its own (an overlap of 1 or less means any shared token), at
-  most ``REFERS_BACK_LIMIT`` (8) of them: those with the greatest overlap,
-  ties to the lowest position, targets ascending. The narrative response thus
-  grows linearly with the number of units.
+  distinct content tokens two summaries share. Unit k gains a refers_back
+  link to earlier units j <= k-2 whose summary shares at least
+  ``refers_back_overlap`` tokens with its own (an overlap of 1 or less means
+  any shared token), at most ``REFERS_BACK_LIMIT`` (8) of them: those with
+  the greatest overlap, ties to the lowest position, targets ascending. The
+  narrative response thus grows linearly with the number of units.
 - perception: per-line score is the number of distinct content tokens the
   line shares with the query plus options; the top_k lines scoring above 0
   win, lower line indices on ties.
@@ -70,7 +68,6 @@ from .text import (
 REFERS_BACK_LIMIT = 8  # refers_back links per episode, at most
 
 _json_str = json.encoder.encode_basestring  # a string as json.dumps(ensure_ascii=False) writes it
-_ORDINAL = re.compile("Event [0-9]+:")  # the head of every abstraction summary
 _CONFLICT_SCREEN = re.compile("|".join(map(re.escape, sorted(CONFLICT_LEXICON))))
 
 
@@ -87,12 +84,6 @@ def _best(wanted: set[str], token_sets: Sequence[set[str]], keys: Sequence[int])
         range(len(token_sets)),
         key=lambda pos: (-len(wanted & token_sets[pos]), keys[pos], pos),
     )
-
-
-def _summary_body(summary: str) -> str:
-    """`summary` without a leading "Event N:"."""
-    head = _ORDINAL.match(summary)
-    return summary[head.end() :] if head else summary
 
 
 def _strongest(hit: int, bitsets: Iterable[int], limit: int) -> int:
@@ -183,11 +174,11 @@ class ReferenceBackend:
         texts = {idx: text for idx, _, _, text in rows}
         top = max(texts, default=0)
         out = []  # written as json.dumps writes {"units": [...]}
-        for ordinal, first, last in parse_units_block(extract_block(payload, "units") or ""):
+        for _, first, last in parse_units_block(extract_block(payload, "units") or ""):
             unit_text = " ".join(
                 texts[idx] for idx in range(first, min(last, top) + 1) if idx in texts
             )
-            summary = f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip()
+            summary = truncate_tokens(unit_text, budget)
             entities = ", ".join(map(_json_str, capitalized_entities(unit_text)))
             out.append(f'{{"summary": {_json_str(summary)}, "entities": [{entities}]}}')
         return '{"units": [' + ", ".join(out) + "]}"
@@ -216,7 +207,7 @@ class ReferenceBackend:
             if k > 0:
                 links.append(f'{{"target_id": {ids[k - 1]}, "relation": "precedes"}}')
             mark = 1 << k
-            tokens = set(content_tokens(_summary_body(ep["summary"])))
+            tokens = set(content_tokens(ep["summary"]))
             shared = tokens & bits.keys()
             bits.update(dict.fromkeys(tokens - shared, mark))  # first seen: no fold
             if len(shared) < levels_needed:  # too few for any refers_back link

@@ -219,25 +219,6 @@ def parse_srt(data: bytes) -> Transcript:
     return Transcript.from_lines(rows, source_kind=SOURCE_SUBTITLE)
 
 
-def _format_srt_time(seconds: float) -> str:
-    total_ms = int(round(seconds * 1000))
-    s, ms = divmod(total_ms, 1000)
-    h, rem = divmod(s, 3600)
-    m, s = divmod(rem, 60)
-    return f"{h:02d}:{m:02d}:{s:02d},{ms:03d}"
-
-
-def serialize_srt(transcript: Transcript) -> bytes:
-    chunks = []
-    for line in transcript.lines:
-        chunks.append(
-            f"{line.index}\n"
-            f"{_format_srt_time(line.start_s)} --> {_format_srt_time(line.end_s)}\n"
-            f"{line.text}\n"
-        )
-    return "\n".join(chunks).encode("utf-8")
-
-
 # --- WebVTT -------------------------------------------------------------------
 
 def parse_vtt(data: bytes) -> Transcript:
@@ -283,20 +264,6 @@ def parse_vtt(data: bytes) -> Transcript:
     return Transcript.from_lines(rows, source_kind=SOURCE_SUBTITLE)
 
 
-def _format_vtt_time(seconds: float) -> str:
-    return _format_srt_time(seconds).replace(",", ".")
-
-
-def serialize_vtt(transcript: Transcript) -> bytes:
-    chunks = ["WEBVTT\n"]
-    for line in transcript.lines:
-        chunks.append(
-            f"{_format_vtt_time(line.start_s)} --> {_format_vtt_time(line.end_s)}\n"
-            f"{line.text}\n"
-        )
-    return "\n".join(chunks).encode("utf-8")
-
-
 # --- caption documents ---------------------------------------------------------
 
 def parse_caption_doc(data: bytes) -> Transcript:
@@ -325,13 +292,6 @@ def parse_caption_doc(data: bytes) -> Transcript:
     if not saw_any:
         raise EmptyFile("no records")
     return Transcript.from_lines(rows, source_kind=SOURCE_CAPTION)
-
-
-def serialize_caption_doc(transcript: Transcript) -> bytes:
-    out = []
-    for line in transcript.lines:
-        out.append(json.dumps({"t": line.start_s, "caption": line.text}, ensure_ascii=False))
-    return ("\n".join(out) + "\n").encode("utf-8")
 
 
 def read_source(path: str) -> bytes:

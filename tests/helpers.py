@@ -1,10 +1,33 @@
-"""Test helpers: a scriptable local chat-completion server."""
+"""Test helpers: a scriptable local chat-completion server, and SRT/VTT
+writers for round-trip tests (the fixture generator's)."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+
+_GEN = importlib.util.spec_from_file_location(
+    "gen_fixtures", Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py"
+)
+gen_fixtures = importlib.util.module_from_spec(_GEN)
+_GEN.loader.exec_module(gen_fixtures)
+
+
+def _cues(transcript) -> list[tuple[float, float, str]]:
+    return [(line.start_s, line.end_s, line.text) for line in transcript.lines]
+
+
+def srt_of(transcript) -> bytes:
+    """`transcript` as an SRT file, cues numbered from 1."""
+    return gen_fixtures.srt_bytes(_cues(transcript))
+
+
+def vtt_of(transcript) -> bytes:
+    """`transcript` as a WebVTT file."""
+    return gen_fixtures.vtt_bytes(_cues(transcript))
 
 
 class FakeChatServer:

@@ -120,6 +120,21 @@ class TestAsk:
         )
         assert code == EXIT_USAGE
 
+    def test_question_that_cannot_be_written_as_utf8_is_an_input_error(self, tmp_path, capsys):
+        # a non-UTF-8 argv byte decodes (surrogateescape) to a lone surrogate
+        memory_file = tmp_path / "vid01.memory.json"
+        code = run_cli(
+            "--reference", "ask",
+            "--subtitles", VID01,
+            "--memory", str(memory_file),
+            "--build-on-demand",
+            "--question", "\udcff",
+            "--options", "A: first | B: second",
+        )
+        assert code == EXIT_INPUT
+        assert "gcagent: error:" in capsys.readouterr().err
+        assert load_memory(memory_file.read_bytes()).version == 1  # no note committed
+
     def test_dry_run_makes_no_network_calls(self, tmp_path, capsys):
         # endpoints point at a closed port; --dry-run must still succeed
         config = tmp_path / "cfg.json"

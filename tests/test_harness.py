@@ -151,6 +151,26 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("field", ["query", "option"])
+    def test_text_that_cannot_be_written_as_utf8_names_the_item(self, tmp_path, field):
+        # json.loads reads the escape "\ud800" as a lone surrogate
+        query = {
+            "text": "what \ud800" if field == "query" else "q",
+            "options": [
+                {"label": "A", "text": "x"},
+                {"label": "B", "text": "y \ud800" if field == "option" else "y"},
+            ],
+        }
+        row = {
+            "question_id": "q1", "video_id": "v1", "duration_s": 10.0, "split": "short",
+            "category": "c", "query": query, "gold": "A",
+        }
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(row) + "\n")
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        assert "m.jsonl:1" in str(exc.value) and "UTF-8" in str(exc.value)
+
 
 class TestRunPipeline:
     def test_full_cycle_on_small_fixture(self, tmp_path, backends):

@@ -47,8 +47,10 @@ from gcagent.memory import (
     segment_events,
 )
 from gcagent.prompts import (
+    clean_field,
     extract_block,
     format_speech_line,
+    parse_episode_lines,
     parse_transcript_block,
     parse_units_block,
     wrap_block,
@@ -107,10 +109,10 @@ class TestSegmentEvents:
 
 
 class TestAbstractSchema:
-    def test_summary_prefix_and_entities(self, reference):
+    def test_summary_and_entities(self, reference):
         t = make_transcript([(0.0, 1.0, "Alice greets Bob warmly")])
         ((summary, entities),) = abstract_schema(t, [(1, 1)], reference)
-        assert summary == "Event 1: Alice greets Bob warmly"
+        assert summary == "Alice greets Bob warmly"
         assert entities == ("Alice", "Bob")
 
     def test_budget_truncates_to_exact_token_count(self, reference):
@@ -118,19 +120,17 @@ class TestAbstractSchema:
         t = make_transcript([(0.0, 1.0, words)])
         params = MemoryParams(summary_budget=30)
         ((summary, _),) = abstract_schema(t, [(1, 1)], reference, params)
-        prefix, _, body = summary.partition(": ")
-        assert prefix == "Event 1"
-        assert len(body.split()) == 30
+        assert summary.split() == words.split()[:30]
 
     def test_no_capitalized_tokens_no_entities(self, reference):
         t = make_transcript([(0.0, 1.0, "the sky darkens and then rain arrives")])
         ((_, entities),) = abstract_schema(t, [(1, 1)], reference)
         assert entities == ()
 
-    def test_ordinal_carried_into_summary(self, reference):
+    def test_ordinal_not_repeated_in_summary(self, reference):
         t = make_transcript([(0.0, 1.0, "alpha"), (20.0, 21.0, "beta")])
         ((summary, _),) = abstract_schema(t, [(2, 2)], reference, first_ordinal=2)
-        assert summary == "Event 2: beta"
+        assert summary == "beta"
 
     def test_blank_summary_is_an_error(self):
         t = make_transcript([(0.0, 1.0, "x")])
@@ -167,12 +167,12 @@ UNIT_TEXT = st.lists(
 ).map(lambda parts: "Word " + " ".join(parts))
 
 
-def _per_unit_rule(unit_lines, ordinal: int, budget: int) -> dict:
-    """The reference abstraction rule as it ran with one request per unit:
+def _per_unit_rule(unit_lines, budget: int) -> dict:
+    """The reference abstraction rule as it runs with one request per unit:
     the unit's own `<transcript>` block, its texts joined by spaces."""
     inner = "\n".join(format_speech_line(line) for line in unit_lines)
     unit_text = " ".join(row[3] for row in parse_transcript_block(inner))
-    summary = f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip()
+    summary = truncate_tokens(unit_text, budget)
     return {"summary": summary, "entities": capitalized_entities(unit_text)}
 
 
@@ -189,7 +189,7 @@ def test_batched_abstraction_matches_the_per_unit_rule(texts, max_lines, budget)
     backend = RecordingBackend()
     memory = build_memory(t, backend, params)
     expected = [
-        _per_unit_rule(t.lines[ep.line_range[0] - 1 : ep.line_range[1]], ep.id + 1, budget)
+        _per_unit_rule(t.lines[ep.line_range[0] - 1 : ep.line_range[1]], budget)
         for ep in memory.episodes
     ]
     responses = [
@@ -339,7 +339,7 @@ class TestBatchedAbstraction:
         out = abstract_schema(
             t, [(1, 1), (2, 2)], backend, templates={"memory_abstraction": template}
         )
-        assert out == [("Event 1: Alice waves", ("Alice",)), ("Event 2: Bob nods", ("Bob",))]
+        assert out == [("Alice waves", ("Alice",)), ("Bob nods", ("Bob",))]
         (request,) = backend.requests
         assert request.text_payload() == (
             "Units:\n<units>\n1: 1-1\n2: 2-2\n</units>\n<transcript>\n"
@@ -862,13 +862,66 @@ def test_write_atomic_failing_write_leaves_nothing_behind(tmp_path):
 def test_memory_text_schematic_vs_narrative(cooking_memory):
     narrative = memory_text(cooking_memory, include_narrative=True)
     schematic = memory_text(cooking_memory, include_narrative=False)
-    assert "introduction" in narrative and "precedes->0" in narrative
-    assert "introduction" not in schematic and "precedes" not in schematic
+    # every reference precedes link targets the previous id, which the order implies
+    assert "introduction" in narrative and "precedes" not in narrative
+    assert "introduction" not in schematic
     # same episodes, same summaries, only the narrative fields differ
     for narr_line, schem_line in zip(narrative.split("\n"), schematic.split("\n")):
         narr_fields = narr_line.strip("「」").split(" | ")
         schem_fields = schem_line.strip("「」").split(" | ")
         assert [narr_fields[0], narr_fields[1], narr_fields[3]] == schem_fields
+
+
+@st.composite
+def _memories(draw):
+    """Memories whose ids are positions and whose links point to earlier
+    ids, with and without the `precedes` link to the previous id."""
+    episodes = []
+    for k in range(draw(st.integers(1, 12))):
+        links = []
+        if k:
+            links = draw(st.lists(
+                st.tuples(st.sampled_from(LINK_RELATIONS), st.integers(0, k - 1)), max_size=4
+            ))
+            if draw(st.booleans()):
+                links.insert(draw(st.integers(0, len(links))), ("precedes", k - 1))
+        notes = draw(st.lists(st.sampled_from(["kept", "a | b", "tea\nbreak"]), max_size=2))
+        episodes.append(Episode(
+            id=k,
+            span=(float(k), k + 0.5),
+            line_range=(k + 1, k + 1),
+            schematic_summary=draw(st.sampled_from(
+                ["crimson pigment", "a | b -> 3, c", "präsens 東京", "x"]
+            )),
+            narrative_role=draw(st.sampled_from(NARRATIVE_ROLES)),
+            causal_links=tuple(CausalLink(target, rel) for rel, target in links),
+            reflections=tuple(
+                ReflectionNote(query="q", answer_id="A", summary=text, created_version=2)
+                for text in notes
+            ),
+        ))
+    return EpisodicMemory(episodes=tuple(episodes), version=2, source_digest="d")
+
+
+@settings(max_examples=200, deadline=None)
+@given(memory=_memories())
+def test_concise_episode_lines_read_back(memory):
+    text = memory_text(memory)
+    parsed = parse_episode_lines(text)
+    assert [(e["id"], e["summary"]) for e in parsed] == [
+        (ep.id, clean_field(ep.schematic_summary)) for ep in memory.episodes
+    ]
+    lines = [line for line in text.split("\n") if line.startswith("「")]
+    for ep, line, entry in zip(memory.episodes, lines, parsed):
+        links = {(link.relation, link.target_id) for link in ep.causal_links}
+        implied = ("precedes", ep.id - 1)
+        # 4 fields exactly when nothing but the implied link remains
+        assert (len(line[1:-1].split(" | ")) == 4) == (links <= {implied})
+        # the listed links are the causal links less the implied one
+        assert set(entry["links"]) == links - {implied}
+        assert entry["role"] == ep.narrative_role
+    schematic = memory_text(memory, include_narrative=False).split("\n")
+    assert all(len(line[1:-1].split(" | ")) == 3 for line in schematic if line[0] == "「")
 
 
 def test_episode_invariants():

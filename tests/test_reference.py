@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import re
 
 import pytest
 from hypothesis import event, given, settings
@@ -34,29 +33,24 @@ from gcagent.text import (
 from gcagent.transcript import SpeechLine
 
 # dense on purpose: stopwords, conflict words, punctuation and case variants,
-# so summaries share tokens often and some share only their ordinal
+# so summaries share tokens often and some share only stopwords
 WORDS = (
     "the", "a", "of", "but", "However,", "problem", "wrong.", "fail",
     "crimson", "Crimson!", "pigment", "palette", "event", "Event", "river", "stone",
 )
 MALFORMED = (
     "garbage line outside the listing format",
-    "「x | 0.00-1.00 | Event 9: crimson pigment」",
+    "「x | 0.00-1.00 | crimson pigment」",
     "「3 | 0.00-1.00」",
-    "「4 | a-b | Event 9: crimson pigment」",
+    "「4 | a-b | crimson pigment」",
 )
 
 
-def _body(summary):
-    """The summary without its leading "Event N:"."""
-    return re.sub(r"\AEvent [0-9]+:", "", summary)
-
-
 def _candidates(entries, overlap):
-    """Per kept episode k: {j: shared body tokens} for every j <= k-2 whose
-    body shares at least max(overlap, 1) distinct content tokens with k's."""
+    """Per kept episode k: {j: shared tokens} for every j <= k-2 whose
+    summary shares at least max(overlap, 1) distinct content tokens with k's."""
     kept = [summary for kind, _, summary in entries if kind == "ok"]
-    token_sets = [set(content_tokens(_body(summary))) for summary in kept]
+    token_sets = [set(content_tokens(summary)) for summary in kept]
     out = []
     for k, tokens in enumerate(token_sets):
         shared = {j: len(token_sets[j] & tokens) for j in range(k - 1)}
@@ -66,7 +60,7 @@ def _candidates(entries, overlap):
 
 def _oracle(entries, overlap):
     """Brute force over every pair: k links back to the 8 candidates j that
-    share the most body tokens with it, ties to the lowest j, ascending."""
+    share the most summary tokens with it, ties to the lowest j, ascending."""
     kept = [(eid, summary) for kind, eid, summary in entries if kind == "ok"]
     out = []
     for k, ((eid, summary), shared) in enumerate(zip(kept, _candidates(entries, overlap))):
@@ -96,8 +90,7 @@ def listings(draw):
             continue
         words = draw(st.lists(st.sampled_from(WORDS), max_size=8))
         eid = pos + draw(st.integers(0, 3))  # ids need not equal list positions
-        ordinal = draw(st.integers(1, 4))  # repeated ordinals: equal heads
-        entries.append(("ok", eid, " ".join([f"Event {ordinal}:", *words])))
+        entries.append(("ok", eid, " ".join(words)))
     return entries
 
 
@@ -131,10 +124,10 @@ def _refers_back(episode):
 
 
 def test_strongest_eight_candidates_win_ties_to_the_lowest_position():
-    # episode 11 shares 1 body token with episodes 0-5, 2 with 6-8 and 3 with 9
-    bodies = ["river"] * 6 + ["river stone"] * 3 + ["river stone pigment"] * 3
-    bodies[10] = ""
-    entries = [("ok", i, f"Event {i + 1}: {body}".strip()) for i, body in enumerate(bodies)]
+    # episode 11 shares 1 token with episodes 0-5, 2 with 6-8 and 3 with 9
+    summaries = ["river"] * 6 + ["river stone"] * 3 + ["river stone pigment"] * 3
+    summaries[10] = ""
+    entries = [("ok", i, summary) for i, summary in enumerate(summaries)]
     assert len(_candidates(entries, 1)[11]) == 10
     out = _narrate(entries, 1)
     assert out == _oracle(entries, 1)
@@ -142,22 +135,12 @@ def test_strongest_eight_candidates_win_ties_to_the_lowest_position():
     assert _refers_back(_narrate(entries, 2)["episodes"][11]) == [6, 7, 8, 9]
 
 
-def test_ordinal_only_summaries_never_link_back():
-    # the heads share "event" and, for equal ordinals, the ordinal; the
-    # bodies hold only stopwords
-    entries = [("ok", i, f"Event {i % 2 + 1}: the of a") for i in range(6)]
-    for overlap in (1, 2, 3, 4):
-        out = _narrate(entries, overlap)
-        assert out == _oracle(entries, overlap)
-        assert all(_refers_back(ep) == [] for ep in out["episodes"])
-
-
 def test_refers_back_links_stay_bounded_when_every_body_shares_a_word():
     # at overlap 1 every episode j <= k-2 is a candidate of episode k: about
     # E²/2 links without the limit, 8 per episode with it
     texts = {}
     for n in (1000, 2000):
-        entries = [("ok", i, f"Event {i + 1}: crimson") for i in range(n)]
+        entries = [("ok", i, "crimson") for i in range(n)]
         texts[n] = _narrate_text(entries, 1)
         episodes = json.loads(texts[n])["episodes"]
         assert [_refers_back(ep) for ep in episodes] == [
@@ -210,10 +193,10 @@ def test_abstraction_text_is_what_json_dumps_writes(texts, cut, budget):
     text = ReferenceBackend().complete(request).text
     rows = parse_transcript_block(inner)
     expected = []
-    for ordinal, (a, b) in enumerate(units, start=2):
+    for a, b in units:
         unit_text = " ".join(row[3] for row in rows if a <= row[0] <= b)
         expected.append({
-            "summary": f"Event {ordinal}: {truncate_tokens(unit_text, budget)}".strip(),
+            "summary": truncate_tokens(unit_text, budget),
             "entities": capitalized_entities(unit_text),
         })
     assert text == json.dumps({"units": expected}, ensure_ascii=False)

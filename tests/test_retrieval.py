@@ -29,9 +29,10 @@ from gcagent.prompts import clean_field, format_speech_line, wrap_block
 from gcagent.reasoning import ABLATION_ROWS
 from gcagent.reference import ReferenceBackend
 from gcagent.text import content_tokens, needle, postings
-from gcagent.transcript import count_tokens, serialize_srt
+from gcagent.transcript import count_tokens
 
 from conftest import FIXTURES, make_transcript, random_query, random_transcript
+from helpers import srt_of
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::gcagent.errors.NoRelevantContentWarning",
@@ -130,7 +131,7 @@ def test_session_indexes_equal_fresh_ones(steps):
     rng = random.Random(len(steps))
     with tempfile.TemporaryDirectory() as root:
         srt = Path(root) / "video.srt"
-        srt.write_bytes(serialize_srt(random_transcript(rng, max_lines=120)))
+        srt.write_bytes(srt_of(random_transcript(rng, max_lines=120)))
         store = MemoryStore(Path(root) / "mem")
 
         def opened() -> VideoSession:
@@ -155,7 +156,7 @@ def test_session_indexes_equal_fresh_ones(steps):
                 k = step_rng.randrange(len(lines))
                 lines[k] = dataclasses.replace(lines[k], text=f"edited w{draw:07d}")
                 edited = dataclasses.replace(session.transcript, lines=tuple(lines))
-                srt.write_bytes(serialize_srt(edited))
+                srt.write_bytes(srt_of(edited))
             session = opened()
             if action in ("rebuild", "edit"):
                 base = store.path("v").read_bytes()

@@ -695,13 +695,11 @@ def _with_note(memory: EpisodicMemory, position: int, note: ReflectionNote) -> E
     return updated
 
 
-def _noted_position(memory: EpisodicMemory, previous: EpisodicMemory | None) -> int | None:
+def _noted_position(memory: EpisodicMemory, episodes: tuple[Episode, ...]) -> int | None:
     """The position of the one episode that `memory` added a note to, when
-    `_with_note` made it from `previous`; else None."""
+    `_with_note` made it from `episodes`; else None."""
     noted = memory.__dict__.get("_noted")
-    if previous is None or noted is None or noted[0] is not previous.episodes:
-        return None
-    return noted[1] if memory.version == previous.version + 1 else None
+    return noted[1] if noted is not None and noted[0] is episodes else None
 
 
 def reference_note_summary(answer_id: str, evidence: str, budget: int) -> str:
@@ -711,77 +709,48 @@ def reference_note_summary(answer_id: str, evidence: str, budget: int) -> str:
 
 # --- persistence --------------------------------------------------------------------
 
-_json_str = json.encoder.encode_basestring  # what json.dumps uses with ensure_ascii=False
 _DECODER, _WHITESPACE = json.JSONDecoder(), json.decoder.WHITESPACE  # as json.loads uses them
-_INF = float("inf")
 
 
-def _json_num(value) -> str:
-    """A number as json.dumps writes it."""
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    return int.__repr__(value)
+def _json_line(doc: dict) -> bytes:
+    """`doc` as one line of UTF-8 JSON. JSON escapes every newline in a
+    string, so the line holds no raw LF but its last."""
+    return (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Already-encoded items as an indent=2 JSON list whose items sit at
-    `indent`; an empty list stays "[]"."""
-    if not items:
-        return "[]"
-    sep = ",\n" + indent
-    return "[\n" + indent + sep.join(items) + "\n" + indent[:-2] + "]"
-
-
-def _episode_json(ep: Episode) -> str:
-    """One episode as an item of the `save_memory` episode list."""
-    s, num = _json_str, _json_num
-    links = [
-        f'{{\n          "target_id": {num(l.target_id)},\n'
-        f'          "relation": {s(l.relation)}\n        }}'
-        for l in ep.causal_links
-    ]
-    notes = [
-        f'{{\n          "query": {s(n.query)},\n'
-        f'          "answer_id": {s(n.answer_id)},\n'
-        f'          "summary": {s(n.summary)},\n'
-        f'          "created_version": {num(n.created_version)}\n        }}'
-        for n in ep.reflections
-    ]
-    return (
-        f'{{\n      "id": {num(ep.id)},\n'
-        f'      "span": [\n        {num(ep.span[0])},\n        {num(ep.span[1])}\n      ],\n'
-        f'      "line_range": [\n        {num(ep.line_range[0])},\n'
-        f'        {num(ep.line_range[1])}\n      ],\n'
-        f'      "schematic_summary": {s(ep.schematic_summary)},\n'
-        f'      "entities": {_json_list([s(e) for e in ep.entities], "        ")},\n'
-        f'      "narrative_role": {s(ep.narrative_role)},\n'
-        f'      "causal_links": {_json_list(links, "        ")},\n'
-        f'      "reflections": {_json_list(notes, "        ")}\n    }}'
-    )
+def _note_doc(note: ReflectionNote) -> dict:
+    return {
+        "query": note.query,
+        "answer_id": note.answer_id,
+        "summary": note.summary,
+        "created_version": note.created_version,
+    }
 
 
 def save_memory(memory: EpisodicMemory) -> bytes:
-    """The memory as UTF-8 JSON, byte for byte what
-    ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` gives for the
-    documented schema; written directly because the C encoder does not
-    handle ``indent``. This is a memory file's snapshot."""
-    head = (
-        f'{{\n  "version": {_json_num(memory.version)},\n'
-        f'  "source_digest": {_json_str(memory.source_digest)},\n'
-        f'  "episodes": '
-    ).encode("utf-8")
-    if not memory.episodes:
-        return head + b"[]\n}\n"
-    items = [_episode_json(ep).encode("utf-8") for ep in memory.episodes]
-    items[0] = head + b"[\n    " + items[0]  # one join for the whole file
-    items[-1] += b"\n  ]\n}\n"
-    return b",\n    ".join(items)
+    """The memory as one line of UTF-8 JSON in the documented schema, as
+    ``json.dumps(doc, ensure_ascii=False) + "\\n"`` writes it. This is a
+    memory file's snapshot; its note lines follow it (`_note_line`)."""
+    doc = {
+        "version": memory.version,
+        "source_digest": memory.source_digest,
+        "episodes": [
+            {
+                "id": ep.id,
+                "span": ep.span,
+                "line_range": ep.line_range,
+                "schematic_summary": ep.schematic_summary,
+                "entities": ep.entities,
+                "narrative_role": ep.narrative_role,
+                "causal_links": [
+                    {"target_id": l.target_id, "relation": l.relation} for l in ep.causal_links
+                ],
+                "reflections": [_note_doc(n) for n in ep.reflections],
+            }
+            for ep in memory.episodes
+        ],
+    }
+    return _json_line(doc)
 
 
 def _require(doc: dict, key: str, kind, path: str):
@@ -893,27 +862,20 @@ def _read_snapshot(data: bytes) -> tuple[EpisodicMemory, int]:
 
 
 def _note_line(position: int, note: ReflectionNote) -> bytes:
-    """The note line that appends `note` to the episode at `position`. JSON
-    escapes every newline in a string, so the line holds no raw LF."""
-    doc = {
-        "episode": position,
-        "query": note.query,
-        "answer_id": note.answer_id,
-        "summary": note.summary,
-        "created_version": note.created_version,
-    }
-    return (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
+    """The note line that appends `note` to the episode at `position`."""
+    return _json_line({"episode": position, **_note_doc(note)})
 
 
-def _fold(memory: EpisodicMemory, lines: bytes) -> tuple[EpisodicMemory, int, list[int]]:
-    """`memory` with the note lines `lines` folded on in order, the length
-    of `lines` without a torn last line, and the position of the episode
-    each line noted. A last line with no newline is what a writer that
-    stopped mid-append leaves: it is dropped with a `TornLineWarning`. Blank
-    lines are skipped. Any other line that is not a note on an existing
-    episode, one version after the last, raises `SchemaViolation`."""
+def _fold(memory: EpisodicMemory, lines: bytes) -> tuple[EpisodicMemory, int]:
+    """`memory` with the note lines `lines` folded on in order (`memory`
+    itself when they hold none), and the length of `lines` without a torn
+    last line. Each note makes a new version through `_with_note`, which
+    records the episode it changed. A last line with no newline is what a
+    writer that stopped mid-append leaves: it is dropped with a
+    `TornLineWarning`. Blank lines are skipped. Any other line that is not a
+    note on an existing episode, one version after the last, raises
+    `SchemaViolation`."""
     complete = lines.rfind(b"\n") + 1
-    positions: list[int] = []
     for number, raw in enumerate(lines[:complete].split(b"\n")[:-1], start=1):
         if not raw.strip():
             continue
@@ -934,14 +896,13 @@ def _fold(memory: EpisodicMemory, lines: bytes) -> tuple[EpisodicMemory, int, li
             memory = _with_note(memory, position, note)
         except InvariantViolation as exc:
             raise SchemaViolation(path, str(exc)) from None
-        positions.append(position)
     if complete < len(lines):
         warnings.warn(
             f"dropped a torn last note line ({len(lines) - complete} bytes, no newline)",
             TornLineWarning,
             stacklevel=3,
         )
-    return memory, complete, positions
+    return memory, complete
 
 
 def load_memory(data: bytes) -> EpisodicMemory:
@@ -1057,9 +1018,11 @@ class VideoSession:
     The session also keeps the memory file's snapshot (see `MemoryStore`)
     and the memory it holds, and, from the first `memory_tokens` or
     `context` call on, each episode's memory-text lines and their token
-    count. A note appended or folded on re-renders only the episode it
-    names; any other new memory is compared with the rendered one episode
-    by episode, and only the episodes that are new objects are re-rendered.
+    count. Each memory made current is synced with them at once: one that
+    `_with_note` made from the rendered episodes (a note appended, or one
+    note line folded on) re-renders only the episode it noted; any other is
+    compared with the rendered one episode by episode, and only the
+    episodes that are new objects are re-rendered.
     From the first `context` call on, it also keeps the retrieval indexes:
     content token -> transcript lines (with each rendered line's token
     count) and content token -> episodes. A note keeps the episode index, as
@@ -1099,21 +1062,12 @@ class VideoSession:
             if self.memory is not None and self.memory.version > memory.version:
                 return  # another writer's notes were folded in before it
         if self.memory is not memory:  # no store, or it recorded it in its thread's session only
-            position = _noted_position(memory, self.memory)
-            self.adopt(memory, None, None if position is None else [position])
+            self.adopt(memory, None)
 
-    def adopt(
-        self,
-        memory: EpisodicMemory,
-        data: bytes | bytearray | None,
-        noted: Sequence[int] | None = None,
-    ) -> None:
-        """Make `memory` current, with `data` as its `memory_bytes`. `noted`
-        lists the positions of the episodes it changed from the current
-        memory (notes only); None when not known."""
-        current = self.memory
-        if noted is not None and current is not None and self._episodes is current.episodes:
-            self._sync(memory, noted)
+    def adopt(self, memory: EpisodicMemory, data: bytes | bytearray | None) -> None:
+        """Make `memory` current, with `data` as its `memory_bytes`, and
+        bring what was rendered from the old memory up to it (`_sync`)."""
+        self._sync(memory)
         self.memory, self.memory_bytes = memory, data
 
     def drop_transcript(self) -> None:
@@ -1136,31 +1090,33 @@ class VideoSession:
         held, snapshot = self.memory_bytes, self._snapshot
         try:
             if held is not None and held.endswith(b"\n") and data.startswith(held):
-                memory, size, noted = _fold(self.memory, data[len(held) :])
-                self.adopt(memory, data[: len(held) + size], noted)
+                memory, size = _fold(self.memory, data[len(held) :])
+                self.adopt(memory, data[: len(held) + size])
                 return
             if snapshot.endswith(b"\n") and data.startswith(snapshot):
-                memory, size, _ = _fold(self._base, data[len(snapshot) :])
+                memory, size = _fold(self._base, data[len(snapshot) :])
                 self.adopt(memory, data[: len(snapshot) + size])
                 return
         except SchemaViolation:
             pass  # the full parse below raises it, naming the line as counted from the snapshot
         base, size = _read_snapshot(data)
-        memory, folded, _ = _fold(base, data[size:])
+        memory, folded = _fold(base, data[size:])
         self.drop_memory()
         self._snapshot, self._base = data[:size], base
         self.adopt(memory, data[: size + folded])
 
-    def _sync(self, memory: EpisodicMemory, positions: Sequence[int] | None = None) -> None:
+    def _sync(self, memory: EpisodicMemory) -> None:
         """Bring the memory-text cache and the episode index up to `memory`:
-        the episodes at `positions` when given, else every one."""
+        only the noted episode when `_with_note` made `memory` from the
+        episodes last rendered, else every episode that is a new object."""
         episodes, old = memory.episodes, self._episodes
         if episodes is old:
             return
         if len(episodes) != len(old):
             self._text = self._tokens = self._summaries = None
         else:
-            for i in range(len(episodes)) if positions is None else positions:
+            position = _noted_position(memory, old)
+            for i in range(len(episodes)) if position is None else (position,):
                 ep = episodes[i]
                 if ep is old[i]:
                     continue
@@ -1245,17 +1201,18 @@ class MemoryStore:
     A missing directory is made on the first write; a file that cannot be
     read, parsed or written raises `MemoryFileError` naming it.
 
-    A memory file is a snapshot, the `save_memory` bytes of a memory,
-    followed by zero or more note lines, one `_note_line` per reflection
-    since. A build writes a new snapshot alone; a reflection appends its
-    line (`save`). Both hold an exclusive `fcntl.flock` on the file they
-    change, so writers in other processes keep every note; within this
-    process they are also serialized per file. Nothing is fsynced. Each
-    thread keeps one `VideoSession`, for the key it last used. Every call
-    reads the file again, to see edits by other processes, but parses it
-    again only when its bytes differ from those the session last read or
-    wrote (an `==` compare, so no file is hashed), and then only as far as
-    `VideoSession.reload` needs."""
+    A memory file is JSON Lines: a snapshot, the `save_memory` line of a
+    memory, followed by zero or more note lines, one `_note_line` per
+    reflection since. A snapshot that an earlier version wrote over several
+    lines (`indent=2`) is read the same way. A build writes a new snapshot
+    alone; a reflection appends its line (`save`). Both hold an exclusive
+    `fcntl.flock` on the file they change, so writers in other processes
+    keep every note; within this process they are also serialized per file.
+    Nothing is fsynced. Each thread keeps one `VideoSession`, for the key it
+    last used. Every call reads the file again, to see edits by other
+    processes, but parses it again only when its bytes differ from those
+    the session last read or wrote (an `==` compare, so no file is hashed),
+    and then only as far as `VideoSession.reload` needs."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -1325,7 +1282,8 @@ class MemoryStore:
         with self._lock(file):
             session = self._session(key)
             current, held = session.memory, session.memory_bytes
-            position = _noted_position(memory, current)
+            follows = current is not None and memory.version == current.version + 1
+            position = _noted_position(memory, current.episodes) if follows else None
             if position is None or held is None or not held.endswith(b"\n"):
                 self._write(file, memory, session)
                 return
@@ -1342,14 +1300,14 @@ class MemoryStore:
                             str(file), "rebuilt or edited since it was read; note not written"
                         )
                     try:
-                        current, size, noted = _fold(current, rest)
+                        folded, size = _fold(current, rest)
                     except SchemaViolation as exc:
                         raise MemoryFileError(str(file), str(exc)) from None
                     if size < len(rest):
                         fh.truncate(len(held) + size)
-                    if noted:  # another writer's notes came first
-                        note = replace(note, created_version=current.version + 1)
-                        memory = _with_note(current, position, note)
+                    if folded is not current:  # another writer's notes came first
+                        note = replace(note, created_version=folded.version + 1)
+                        memory = _with_note(folded, position, note)
                     line = _note_line(position, note)
                     fh.seek(len(held) + size)
                     fh.write(line)
@@ -1359,7 +1317,7 @@ class MemoryStore:
             # more than the append
             held = held if isinstance(held, bytearray) else bytearray(held)
             held += rest[:size] + line
-            session.adopt(memory, held, noted + [position])
+            session.adopt(memory, held)
 
     def build(
         self, key, transcript, backend, params=MemoryParams(), templates=None, write=True

@@ -70,14 +70,6 @@ class EvidenceConfig:
     def to_dict(self) -> dict:
         return {"vision": self.vision, "text": self.text, "memory": self.memory}
 
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "EvidenceConfig":
-        return cls(
-            vision=doc.get("vision", "none"),
-            text=doc.get("text", "none"),
-            memory=doc.get("memory", "none"),
-        )
-
 
 # The ablation grid: named input compositions for the reasoning stage, from
 # the uniform-sampling baseline up to the full composition with narrative
@@ -111,7 +103,6 @@ class ActionResult:
     answer_id: str
     evidence: str
     raw_response: str
-    config: EvidenceConfig
 
     def __post_init__(self):
         if not self.evidence.strip():
@@ -179,7 +170,7 @@ def assemble_evidence(
     return ChatRequest(
         system=SYSTEM_REASONER,
         user_parts=tuple(parts),
-        context={"stage": "action", "evidence_config": config.to_dict()},
+        context={"stage": "action"},
     )
 
 
@@ -187,13 +178,8 @@ def act(query, evidence_request: ChatRequest, backend: Backend) -> ActionResult:
     """Run the reasoning request and extract (answer, evidence)."""
     raw = complete_text(backend, evidence_request)
     answer_id, evidence = parse_answer(raw, query.options)
-    config_doc = evidence_request.context.get("evidence_config")
-    config = EvidenceConfig.from_dict(config_doc) if config_doc else EvidenceConfig()
     return ActionResult(
-        answer_id=answer_id,
-        evidence=evidence if evidence.strip() else raw,
-        raw_response=raw,
-        config=config,
+        answer_id=answer_id, evidence=evidence if evidence.strip() else raw, raw_response=raw
     )
 
 

@@ -59,6 +59,8 @@ class SpeechLine:
             raise InvariantViolation(f"line {self.index}: start after end or not a number")
         if not self.text.strip():
             raise InvariantViolation(f"line {self.index}: empty text")
+        if "\n" in self.text:  # it would split the line's `[idx] start-end: text` rendering
+            raise InvariantViolation(f"line {self.index}: line break in text")
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,26 @@ def _timing_to_seconds(h: str | None, m: str, s: str, ms: str) -> float:
     return total_ms / 1000.0
 
 
+def _cue_row(
+    ordinal: int, match: re.Match | None, text_lines: list[str]
+) -> tuple[float, float, str]:
+    """The `(start, end, text)` row of the cue numbered `ordinal`, from its
+    timing line's match (`_SRT_TIMING` or `_VTT_TIMING`; None when it did
+    not match) and its text lines; a malformed cue raises `MalformedCue`."""
+    if match is None:
+        raise MalformedCue(ordinal, "bad timestamp syntax")
+    start = _timing_to_seconds(*match.group(1, 2, 3, 4))
+    end = _timing_to_seconds(*match.group(5, 6, 7, 8))
+    if start > end:
+        raise MalformedCue(ordinal, "start time after end time")
+    if any("-->" in ln for ln in text_lines):
+        raise MalformedCue(ordinal, "embedded timestamp in cue text")
+    text = _clean_cue_text(text_lines)
+    if not text:
+        raise MalformedCue(ordinal, "empty cue text")
+    return start, end, text
+
+
 # --- SRT ----------------------------------------------------------------------
 
 def parse_srt(data: bytes) -> Transcript:
@@ -201,19 +223,7 @@ def parse_srt(data: bytes) -> Transcript:
         if re.fullmatch(r"\d+", lines[0]) and len(lines) > 1:
             pos = 1
         m = _SRT_TIMING.match(lines[pos]) if pos < len(lines) else None
-        if m is None:
-            raise MalformedCue(ordinal, "bad timestamp syntax")
-        start = _timing_to_seconds(m.group(1), m.group(2), m.group(3), m.group(4))
-        end = _timing_to_seconds(m.group(5), m.group(6), m.group(7), m.group(8))
-        if start > end:
-            raise MalformedCue(ordinal, "start time after end time")
-        text_lines = lines[pos + 1 :]
-        if any("-->" in ln for ln in text_lines):
-            raise MalformedCue(ordinal, "embedded timestamp in cue text")
-        text = _clean_cue_text(text_lines)
-        if not text:
-            raise MalformedCue(ordinal, "empty cue text")
-        rows.append((start, end, text))
+        rows.append(_cue_row(ordinal, m, lines[pos + 1 :]))
     if not rows:
         raise EmptyFile("no cues")
     return Transcript.from_lines(rows, source_kind=SOURCE_SUBTITLE)
@@ -245,20 +255,7 @@ def parse_vtt(data: bytes) -> Transcript:
             pos = 1  # cue identifier line
         if pos >= len(lines) or "-->" not in lines[pos]:
             raise MalformedCue(ordinal, "missing cue timing line")
-        m = _VTT_TIMING.match(lines[pos])
-        if m is None:
-            raise MalformedCue(ordinal, "bad timestamp syntax")
-        start = _timing_to_seconds(m.group(1), m.group(2), m.group(3), m.group(4))
-        end = _timing_to_seconds(m.group(5), m.group(6), m.group(7), m.group(8))
-        if start > end:
-            raise MalformedCue(ordinal, "start time after end time")
-        text_lines = lines[pos + 1 :]
-        if any("-->" in ln for ln in text_lines):
-            raise MalformedCue(ordinal, "embedded timestamp in cue text")
-        text = _clean_cue_text(text_lines)
-        if not text:
-            raise MalformedCue(ordinal, "empty cue text")
-        rows.append((start, end, text))
+        rows.append(_cue_row(ordinal, _VTT_TIMING.match(lines[pos]), lines[pos + 1 :]))
     if not rows:
         raise EmptyFile("no cues")
     return Transcript.from_lines(rows, source_kind=SOURCE_SUBTITLE)

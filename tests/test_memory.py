@@ -660,7 +660,7 @@ class TestPersistence:
 
 
 def _oracle_bytes(memory: EpisodicMemory) -> bytes:
-    """The memory file as json.dumps lays it out."""
+    """The memory file's snapshot line as json.dumps lays it out."""
     doc = {
         "version": memory.version,
         "source_digest": memory.source_digest,
@@ -688,7 +688,7 @@ def _oracle_bytes(memory: EpisodicMemory) -> bytes:
             for ep in memory.episodes
         ],
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _span_key(memory: EpisodicMemory):
@@ -705,6 +705,7 @@ def _span_key(memory: EpisodicMemory):
 def _assert_serializes_like_json(memory: EpisodicMemory) -> None:
     data = save_memory(memory)
     assert data == _oracle_bytes(memory)
+    assert data.count(b"\n") == 1  # one JSON Lines line
     assert _span_key(load_memory(data)) == _span_key(memory)
 
 

@@ -185,7 +185,6 @@ class TestAct:
         result = act(query, request, reference)
         assert result.answer_id == "B"
         assert result.evidence == "they throw food into a big bowl to mix"
-        assert result.config.text == "qr_transcript"
 
     def test_unparseable_raises(self, reference):
         t, memory, query, perception = _fixture(reference)

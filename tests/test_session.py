@@ -182,7 +182,6 @@ def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, mo
     loads = _count_calls(monkeypatch, gcagent.memory, "load_memory")
     texts = _count_calls(monkeypatch, gcagent.memory, "memory_text")
     saves = _count_calls(monkeypatch, gcagent.memory, "save_memory")
-    json_renders = _count_calls(monkeypatch, gcagent.memory, "_episode_json")
     text_renders = _count_calls(monkeypatch, gcagent.memory, "_episode_text")
     questions = [
         dataclasses.replace(items[k % 2], question_id=f"q{k}") for k in range(10)
@@ -192,11 +191,10 @@ def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, mo
         if k == 1:
             episodes = len(load_memory(store.path("vid01").read_bytes()).episodes)
             assert episodes > 1
-        # every episode once for the first question (the build's write and
-        # the first memory block), then the one reflected episode's text per
-        # question, whose note is appended as a line; reflection's prompt
-        # also renders its target episode
-        assert len(json_renders) == episodes
+        # every episode once for the first question (the first memory
+        # block), then the one reflected episode's text per question, whose
+        # note is appended as a line; reflection's prompt also renders its
+        # target episode
         assert len(text_renders) == episodes + 2 * k
     assert len(parses) == 1
     assert len(loads) == 0
@@ -594,6 +592,42 @@ def test_each_reflection_appends_one_line(tmp_path, vid01, backends):
         assert session.memory.version == k + 2
         _assert_appended(before, path, session)
     assert path.read_bytes().startswith(snapshot)
+
+
+def test_indent2_snapshot_with_note_lines_takes_one_more_line(tmp_path):
+    """A file whose snapshot spans several lines (`indent=2`, as earlier
+    versions wrote it), followed by note lines, opens as `load_memory` of
+    its bytes, and the next reflection appends exactly its note line to it
+    instead of rewriting the file."""
+    transcript = load_transcript(str(FIXTURES / "videos" / "vid01.srt"))
+    base = EpisodicMemory(
+        episodes=tuple(
+            Episode(
+                id=i,
+                span=(float(i), i + 0.5),
+                line_range=(i + 1, i + 1),
+                schematic_summary=f"café pan {i}",
+                entities=("Bob",),
+                causal_links=(CausalLink(i - 1, "refers_back"),) if i else (),
+            )
+            for i in range(4)
+        ),
+        version=1,
+        source_digest=transcript.digest,
+    )
+    noted = _reflect_on(_reflect_on(base, 1), 3)
+    snapshot = json.dumps(json.loads(save_memory(base)), indent=2, ensure_ascii=False) + "\n"
+    data = snapshot.encode("utf-8") + _note_line(_reflect_on(base, 1)) + _note_line(noted)
+    assert data.count(b"\n") > 3
+    store = MemoryStore(tmp_path)
+    path = store.path("v")
+    path.write_bytes(data)
+    session = store.open("v", transcript)
+    assert session.memory == load_memory(data) == noted
+    _assert_session_renders(session)
+    session.commit(_reflect_on(session.memory, 2))
+    assert session.memory.version == 4
+    _assert_appended(data, path, session)
 
 
 def _reflect_on(memory: EpisodicMemory, k: int) -> EpisodicMemory:

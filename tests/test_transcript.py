@@ -218,6 +218,12 @@ class TestInvariants:
         with pytest.raises(InvariantViolation):
             Transcript.from_lines([(-1.0, 2.0, "x")])
 
+    @pytest.mark.parametrize("text", ["hello\nworld", "\nabc"])
+    def test_line_break_in_text_rejected(self, text):
+        # a line break would split the line's `[idx] start-end: text` rendering
+        with pytest.raises(InvariantViolation, match="line break"):
+            Transcript.from_lines([(0.0, 1.0, text), (1.0, 2.0, "next")])
+
     def test_with_duration_returns_new_value(self, cooking_transcript):
         longer = cooking_transcript.with_duration(99.0)
         assert longer.video_duration_s == 99.0

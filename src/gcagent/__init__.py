@@ -64,7 +64,7 @@ from .reasoning import (
     assemble_evidence,
     parse_answer,
 )
-from .reference import ReferenceBackend, ScriptedBackend
+from .reference import ReferenceBackend
 from .transcript import (
     SpeechLine,
     TokenCount,

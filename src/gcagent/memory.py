@@ -1017,16 +1017,19 @@ class VideoSession:
 
     The session also keeps the memory file's snapshot (see `MemoryStore`)
     and the memory it holds, and, from the first `memory_tokens` or
-    `context` call on, each episode's memory-text lines and their token
-    count. Each memory made current is synced with them at once: one that
-    `_with_note` made from the rendered episodes (a note appended, or one
-    note line folded on) re-renders only the episode it noted; any other is
+    `context` call on, each episode's memory-text lines, their token counts
+    and the counts' total. Each memory made current is synced with them at
+    once: one that `_with_note` made from the rendered episodes (a note
+    appended, or one note line folded on) re-renders only the episode it
+    noted, and moves the total by that episode's change; any other is
     compared with the rendered one episode by episode, and only the
     episodes that are new objects are re-rendered.
     From the first `context` call on, it also keeps the retrieval indexes:
     content token -> transcript lines (with each rendered line's token
-    count) and content token -> episodes. A note keeps the episode index, as
-    it changes no summary. The caches go with the transcript or memory they
+    count and the counts' total) and content token -> episodes. A note
+    keeps the episode index, as it changes no summary. `memory_tokens` and
+    `context` read the two token totals, so no question sums the counts
+    again. The caches, totals included, go with the transcript or memory they
     belong to when it is parsed again in full, rebuilt, or the video
     changes."""
 
@@ -1048,9 +1051,11 @@ class VideoSession:
     _episodes: tuple[Episode, ...] = field(default=(), repr=False)
     _text: list[str] | None = field(default=None, repr=False)
     _tokens: list[int] | None = field(default=None, repr=False)
-    # the retrieval indexes: the transcript indexed, its lines' postings and
-    # token counts; the postings of the episodes' summaries as rendered
-    _lines: tuple[Transcript, Postings, list[int]] | None = field(default=None, repr=False)
+    _tokens_total: int = field(default=0, repr=False)  # sum(_tokens), kept with it
+    # the retrieval indexes: the transcript indexed, its lines' postings,
+    # token counts and their total; the postings of the episodes' summaries
+    # as rendered
+    _lines: tuple[Transcript, Postings, list[int], int] | None = field(default=None, repr=False)
     _summaries: Postings | None = field(default=None, repr=False)
 
     def commit(self, memory: EpisodicMemory) -> None:
@@ -1079,6 +1084,7 @@ class VideoSession:
         self.memory = self.memory_bytes = self._base = None
         self._snapshot = b""
         self._episodes, self._text, self._tokens, self._summaries = (), None, None, None
+        self._tokens_total = 0
 
     def reload(self, data: bytes) -> None:
         """Make `load_memory(data)`, a memory file's bytes, the current
@@ -1114,6 +1120,7 @@ class VideoSession:
             return
         if len(episodes) != len(old):
             self._text = self._tokens = self._summaries = None
+            self._tokens_total = 0
         else:
             position = _noted_position(memory, old)
             for i in range(len(episodes)) if position is None else (position,):
@@ -1122,32 +1129,37 @@ class VideoSession:
                     continue
                 if self._text is not None:
                     self._text[i] = text = _episode_text(ep)
-                    self._tokens[i] = count_tokens(text).count
+                    count = count_tokens(text).count
+                    self._tokens_total += count - self._tokens[i]
+                    self._tokens[i] = count
                 if ep.schematic_summary != old[i].schematic_summary:
                     self._summaries = None
         self._episodes = episodes
 
-    def _texts(self) -> tuple[list[str], list[int]]:
-        """Each episode's `memory_text` lines and their token count,
-        re-rendering only changed episodes."""
+    def _texts(self) -> tuple[list[str], list[int], int]:
+        """Each episode's `memory_text` lines, their token counts and the
+        counts' total, re-rendering only changed episodes."""
         self._sync(self.memory)
         if self._text is None:
             self._text = [_episode_text(ep) for ep in self.memory.episodes]
             self._tokens = [count_tokens(text).count for text in self._text]
-        return self._text, self._tokens
+            self._tokens_total = sum(self._tokens)
+        return self._text, self._tokens, self._tokens_total
 
     def memory_tokens(self) -> int:
         """`memory_token_count(self.memory)`: the whole memory's footprint."""
-        return sum(self._texts()[1])
+        return self._texts()[2]
 
     def line_index(self) -> tuple[Postings, list[int]]:
         """The postings of the transcript's lines (positions count from 0)
-        and each line's token count as `format_speech_line` renders it."""
+        and each line's token count as `format_speech_line` renders it; the
+        counts' total is kept beside them."""
         if self._lines is None or self._lines[0] is not self.transcript:
             self._lines = None  # drop the stale index before building
             lines = self.transcript.lines
             counts = [count_tokens(format_speech_line(line)).count for line in lines]
-            self._lines = (self.transcript, postings(line.text for line in lines), counts)
+            index = postings(line.text for line in lines)
+            self._lines = (self.transcript, index, counts, sum(counts))
         return self._lines[1], self._lines[2]
 
     def episode_index(self) -> Postings:
@@ -1175,14 +1187,14 @@ class VideoSession:
         with their notes."""
         transcript, memory = self.transcript, self.memory
         line_index, line_tokens = self.line_index()
-        if sum(line_tokens) <= budget:
+        if self._lines[3] <= budget:  # the line counts' total
             block = transcript.block
         else:
             kept = _fit(_ranked(needle, line_index), line_tokens, budget)
             block = transcript_block(transcript.lines[i] for i in kept)
-        texts, tokens = self._texts()
+        texts, tokens, total = self._texts()
         episodes = memory.episodes
-        if sum(tokens) <= budget:
+        if total <= budget:
             return Context(block, episodes, wrap_block("memory", "\n".join(texts)))
         ranked = _ranked(needle, self.episode_index())
         hops = (link.target_id for pos in ranked for link in episodes[pos].causal_links)

@@ -253,15 +253,36 @@ class ReferenceBackend:
         if not options:
             return "Answer: (?)"
         rows = parse_transcript_block(extract_block(payload, "transcript") or "")
-        summaries = [
-            ep["summary"] for ep in parse_episode_lines(extract_block(payload, "memory") or "")
-        ]
+        block = extract_block(payload, "memory") or ""
         row_tokens = [set(content_tokens(text)) for _, _, _, text in rows]
+        option_tokens = [set(content_tokens(option_text)) for _, option_text in options]
+        seen = set().union(*row_tokens)
+        if rows:
+            # The summaries only add the option tokens the rows lack, so only
+            # the lines that can hold one are read. The screen is exact:
+            # `content_tokens` lowers before it splits, so each token of a
+            # summary is a substring of the summary's lowercase, and that of
+            # its line's and the block's. `str.lower` maps only Σ by context
+            # (final sigma), so a line holding Σ is always read, and a token
+            # holding σ or ς is kept when the block holds Σ.
+            low = block.lower()
+            sigma = "Σ" in block
+            missing = [
+                tok
+                for tok in set().union(*option_tokens) - seen
+                if tok in low or (sigma and ("σ" in tok or "ς" in tok))
+            ]
+            block = "\n".join(
+                line
+                for line, line_low in zip(block.split("\n"), low.split("\n"))
+                if "Σ" in line or any(tok in line_low for tok in missing)
+            )
+        summaries = [ep["summary"] for ep in parse_episode_lines(block)]
         summary_tokens = [set(content_tokens(summary)) for summary in summaries]
-        seen = set().union(*row_tokens, *summary_tokens)
+        seen.update(*summary_tokens)
         scores = {
-            label: float(len(seen.intersection(content_tokens(option_text))))
-            for label, option_text in options
+            label: float(len(seen & tokens))
+            for (label, _), tokens in zip(options, option_tokens)
         }
         best = pick_best_option(scores)
         wanted = needle(query, options)
@@ -287,18 +308,3 @@ class ReferenceBackend:
         "action": _act,
         "reflection": _reflect,
     }
-
-
-class ScriptedBackend:
-    """Returns canned responses in order; repeats the last one. Useful for
-    fault injection in tests."""
-
-    def __init__(self, responses: Sequence[str], multimodal: bool = True):
-        self._responses = list(responses)
-        self._cursor = 0
-        self.profile = BackendProfile(name="scripted", multimodal=multimodal, deterministic=True)
-
-    def complete(self, request: ChatRequest) -> ChatResponse:
-        text = self._responses[min(self._cursor, len(self._responses) - 1)]
-        self._cursor += 1
-        return ChatResponse(text=text)

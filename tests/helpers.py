@@ -1,5 +1,6 @@
-"""Test helpers: a scriptable local chat-completion server, and SRT/VTT
-writers for round-trip tests (the fixture generator's)."""
+"""Test helpers: a backend that replays canned responses, a scriptable
+local chat-completion server, and SRT/VTT writers for round-trip tests (the
+fixture generator's)."""
 
 from __future__ import annotations
 
@@ -8,12 +9,30 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Sequence
+
+from gcagent.backend import BackendProfile, ChatRequest, ChatResponse
 
 _GEN = importlib.util.spec_from_file_location(
     "gen_fixtures", Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py"
 )
 gen_fixtures = importlib.util.module_from_spec(_GEN)
 _GEN.loader.exec_module(gen_fixtures)
+
+
+class ScriptedBackend:
+    """Returns canned responses in order; repeats the last one. Useful for
+    fault injection in tests."""
+
+    def __init__(self, responses: Sequence[str], multimodal: bool = True):
+        self._responses = list(responses)
+        self._cursor = 0
+        self.profile = BackendProfile(name="scripted", multimodal=multimodal, deterministic=True)
+
+    def complete(self, request: ChatRequest) -> ChatResponse:
+        text = self._responses[min(self._cursor, len(self._responses) - 1)]
+        self._cursor += 1
+        return ChatResponse(text=text)
 
 
 def _cues(transcript) -> list[tuple[float, float, str]]:

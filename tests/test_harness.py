@@ -22,10 +22,11 @@ from gcagent.harness import (
 from gcagent.errors import BackendFailure, ManifestError, StageError
 from gcagent.memory import MemoryStore, load_memory
 from gcagent.reasoning import ABLATION_ROWS, EvidenceConfig
-from gcagent.reference import ReferenceBackend, ScriptedBackend
+from gcagent.reference import ReferenceBackend
 from gcagent.transcript import count_tokens
 
 from conftest import FIXTURES, make_transcript
+from helpers import ScriptedBackend
 
 MANIFEST = FIXTURES / "manifest.jsonl"
 

@@ -55,11 +55,12 @@ from gcagent.prompts import (
     parse_units_block,
     wrap_block,
 )
-from gcagent.reference import REFERS_BACK_LIMIT, ReferenceBackend, ScriptedBackend
+from gcagent.reference import REFERS_BACK_LIMIT, ReferenceBackend
 from gcagent.text import capitalized_entities, truncate_tokens
 from gcagent.transcript import load_transcript, transcript_digest
 
 from conftest import FIXTURES, make_transcript, random_transcript
+from helpers import ScriptedBackend
 
 
 class TestSegmentEvents:

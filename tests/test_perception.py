@@ -286,7 +286,7 @@ def test_perceive_spans_match_scan(rows, hits, pad_s, merge_window_s, extra_dura
     import warnings
 
     from gcagent.memory import Episode, EpisodicMemory
-    from gcagent.reference import ScriptedBackend
+    from helpers import ScriptedBackend
 
     lines = [(s, s + w, f"line {i}") for i, (s, w) in enumerate(rows)]
     end = max(e for _, e, _ in lines)

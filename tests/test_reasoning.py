@@ -19,9 +19,10 @@ from gcagent.reasoning import (
     assemble_evidence,
     parse_answer,
 )
-from gcagent.reference import ScriptedBackend, pick_best_option
+from gcagent.reference import pick_best_option
 
 from conftest import make_transcript
+from helpers import ScriptedBackend
 
 OPTIONS = (("A", "Walk away"), ("B", "Prepare to mix and taste"), ("C", "Call a friend"))
 

@@ -225,9 +225,17 @@ def test_tokenizers_trim_each_token_then_lower_it(text):
 # --- perception and action against a per-row scan ----------------------------------
 
 # few words, so lines repeat tokens, tie often and share tokens with options;
-# "zebra" and "quartz" appear only in options, so some options overlap nothing
-TEXT_WORDS = ("the", "of", "crimson", "Crimson!", "pigment", "palette", "river", "stone.", "event")
-OPTION_WORDS = TEXT_WORDS + ("zebra", "quartz")
+# "zebra" appears only in options, so some options overlap nothing. The rest
+# test action's substring screen of the memory block: option words inside a
+# longer text word ("stone" in "milestone", "quartz" in "quartzite", "ς" in
+# "ΟΔΟΣ"), behind edge punctuation ("(stone)", "“quartz”"), lowered by
+# context (final sigma: "ΟΔΟΣ" is "οδος"; "İstanbul" is "i̇stanbul", so
+# "istanbul" is not in it)
+TEXT_WORDS = (
+    "the", "of", "crimson", "Crimson!", "pigment", "palette", "river", "stone.", "event",
+    "milestone", "quartzite", "(stone)", "“quartz”", "ΟΔΟΣ", "İstanbul",
+)
+OPTION_WORDS = TEXT_WORDS + ("zebra", "quartz", "stone", "οδος", "ς", "istanbul")
 MALFORMED_ROWS = (
     "[x] 0.00-1.00: crimson river",
     "crimson pigment without a timestamp",
@@ -450,3 +458,27 @@ def test_action_on_perceptions_transcript_matches_per_row_scan(question, rows, l
     backend.complete(_request("perception", question, rows, listing, top_k=2))
     request = _request("action", question, rows, listing)
     assert backend.complete(request).text == _act_oracle(question, rows, listing)
+
+
+@pytest.mark.parametrize(
+    "summary, option, best",
+    [
+        ("ΟΔΟΣ river", "οδος", "A"),  # final sigma: the summary's token is "οδος"
+        ("river ΟΔΟΣ.", "οδος", "A"),
+        ("ΟΔΟΣ", "ς", "B"),  # "ς" is in the lowercase but is no token of it
+        ("milestone", "stone", "B"),  # a substring only
+        ("quartzite “quartz”", "quartz", "A"),
+        ("(stone)", "stone", "A"),
+        ("İstanbul", "istanbul", "B"),  # lowers to "i̇stanbul"
+        ("İstanbul", "İstanbul", "A"),
+    ],
+)
+def test_action_reads_the_memory_lines_an_option_word_can_be_in(summary, option, best):
+    """Option A overlaps only through the summary, B only through the row,
+    so A wins its tie exactly when the summary holds A's word as a token."""
+    rows = ["[1] 0.00-1.00: palette"]
+    listing = _listing(["crimson", summary])
+    question = ("which", [("A", option), ("B", "palette")])
+    text = ReferenceBackend().complete(_request("action", question, rows, listing)).text
+    assert text == _act_oracle(question, rows, listing)
+    assert text.startswith(f"Answer: ({best})")

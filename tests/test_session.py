@@ -30,10 +30,11 @@ from gcagent.memory import (
     VideoSession,
     load_memory,
     memory_text,
+    memory_token_count,
     reflect,
     save_memory,
 )
-from gcagent.prompts import wrap_block
+from gcagent.prompts import format_speech_line, wrap_block
 from gcagent.reference import ReferenceBackend
 from gcagent.transcript import count_tokens, load_transcript
 
@@ -203,6 +204,77 @@ def test_warm_questions_parse_once_and_render_once(tmp_path, vid01, backends, mo
     final = load_memory(store.path("vid01").read_bytes())
     assert final.version == 11
     assert [v for v, _ in _notes(final)] == list(range(2, 12))
+
+
+def _assert_totals(session: VideoSession) -> None:
+    """The session's kept token totals equal counts made afresh: `context`
+    sends a whole block exactly when its summed counts fit the budget, and
+    `memory_tokens` is the whole memory's count."""
+    memory_total = memory_token_count(session.memory)
+    lines = session.transcript.lines
+    line_total = sum(count_tokens(format_speech_line(line)).count for line in lines)
+    whole_memory = wrap_block("memory", memory_text(session.memory))
+    for budget in (memory_total - 1, memory_total):
+        context = session.context(set(), budget)
+        assert (context.memory_block == whole_memory) == (budget >= memory_total)
+    for budget in (line_total - 1, line_total):
+        context = session.context(set(), budget)
+        assert (context.transcript_block == session.transcript.block) == (budget >= line_total)
+    assert session.memory_tokens() == memory_total
+
+
+def test_session_token_totals_never_go_stale(tmp_path, vid01, backends):
+    srt, items = vid01
+    reference = backends.manager
+    store = MemoryStore(tmp_path / "mem")
+    path = store.path("vid01")
+
+    def opened():
+        session = store.session("vid01", str(srt), items[0].duration_s)
+        store.open("vid01", session.transcript, reference)
+        return session
+
+    def reflected(memory, words):
+        return reflect(
+            "q " + words, (("A", "a"), ("B", "b")), "A", "ev " + words,
+            memory, [(0.0, 5.0)], reference,
+        )
+
+    session = opened()
+    _assert_totals(session)  # the first `context`
+
+    session.commit(reflected(session.memory, "a committed note"))
+    assert session.memory.version == 2
+    _assert_totals(session)
+
+    other = MemoryStore(tmp_path / "mem")  # another writer appends a note line
+    other_session = other.session("vid01", str(srt), items[0].duration_s)
+    other.open("vid01", other_session.transcript)
+    other_session.commit(reflected(other_session.memory, "the other writer's longer note"))
+    assert opened() is session and session.memory.version == 3
+    _assert_totals(session)
+
+    # same size, one more token: a summary letter becomes a space in the
+    # snapshot, so the file is parsed again in full
+    summary = next(ep.schematic_summary for ep in session.memory.episodes
+                   if any(c.isascii() and c.isalnum() for c in ep.schematic_summary[1:-1]))
+    i = next(i for i in range(1, len(summary) - 1)
+             if summary[i].isascii() and summary[i].isalnum())
+    data = path.read_bytes()
+    edited = data.replace(summary.encode(), (summary[:i] + " " + summary[i + 1:]).encode(), 1)
+    assert edited != data and len(edited) == len(data)
+    path.write_bytes(edited)
+    assert opened() is session and session.memory.version == 3
+    _assert_totals(session)
+
+    store.build("vid01", session.transcript, reference)
+    assert session.memory.version == 1
+    _assert_totals(session)
+
+    srt.write_bytes(srt.read_bytes().replace(b"Bob", b"Bob and Rob"))
+    transcript = session.transcript
+    assert opened() is session and session.transcript is not transcript
+    _assert_totals(session)
 
 
 def _assert_session_renders(session: VideoSession) -> None:

@@ -38,23 +38,16 @@ from .harness import (
     BackendPair,
     RunConfig,
     RunReport,
-    _item_session,
     _staged,
     answer,
     bucket_token_stats,
     compute_token_stats,
     evaluate,
     load_manifest,
+    open_item,
     render_report_table,
 )
-from .memory import (
-    MemoryParams,
-    MemoryStore,
-    VideoSession,
-    _write_atomic,
-    build_memory,
-    memory_token_count,
-)
+from .memory import MemoryParams, MemoryStore, VideoSession, _write_atomic, build_memory
 from .perception import PerceptionParams, Query
 from .reasoning import EvidenceConfig
 from .reference import ReferenceBackend
@@ -92,10 +85,10 @@ _OVERRIDE_SECTIONS = {
     "merge_window_s": ("perception", "merge_window_s"),
     "max_frames": ("perception", "max_frames"),
     "context_budget": ("perception", "context_budget"),
-    "gap_threshold_s": ("memory_params", "gap_threshold_s"),
-    "max_lines": ("memory_params", "max_lines"),
-    "summary_budget": ("memory_params", "summary_budget"),
-    "refers_back_overlap": ("memory_params", "refers_back_overlap"),
+    "gap_threshold_s": ("memory", "gap_threshold_s"),
+    "max_lines": ("memory", "max_lines"),
+    "summary_budget": ("memory", "summary_budget"),
+    "refers_back_overlap": ("memory", "refers_back_overlap"),
 }
 
 
@@ -128,9 +121,16 @@ def _is_number(value) -> bool:
 
 
 def _check_settings(cfg: dict) -> None:
-    """Raise `ConfigError` for a role setting, `memory_dir` or
+    """Raise `ConfigError` for a switch that is not a boolean (`reference`
+    may also be null, for auto), or a role setting, `memory_dir` or
     `templates_dir` of a type or range the backends and the store cannot
     use."""
+    switches = {"reference": cfg["reference"], "strict": cfg["strict"]}
+    for role in ("manager", "reasoner"):
+        switches[f"{role}.multimodal"] = cfg[role].get("multimodal", False)
+    for name, value in switches.items():
+        if not isinstance(value, bool) and not (name == "reference" and value is None):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
     for role in ("manager", "reasoner"):
         role_cfg = cfg[role]
         endpoint = role_cfg.get("endpoint")
@@ -161,7 +161,6 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
                     raise ConfigError(f"bad inline override {chunk!r}")
                 if key in _OVERRIDE_SECTIONS:
                     section, name = _OVERRIDE_SECTIONS[key]
-                    section = "memory" if section == "memory_params" else section
                     cfg[section][name] = _coerce(raw.strip())
                 elif key in cfg:
                     cfg[key] = _coerce(raw.strip())
@@ -196,6 +195,7 @@ def load_config(config_args: list[str] | None, reference_flag: bool) -> dict:
     for params, fields in (
         (PerceptionParams, cfg["perception"]),
         (MemoryParams, cfg["memory"]),
+        (EvidenceConfig, cfg["evidence"]),
         (RunConfig, {"workers": cfg["workers"]}),
     ):
         try:
@@ -229,7 +229,7 @@ def _build_backends(cfg: dict, force_reference: bool = False) -> BackendPair:
         backends[role] = HttpBackend(
             endpoint=role_cfg["endpoint"],
             model=role_cfg["model"],
-            multimodal=bool(role_cfg.get("multimodal", False)),
+            multimodal=role_cfg.get("multimodal", False),
             timeout_s=float(role_cfg.get("timeout_s", 60.0)),
             max_retries=int(role_cfg.get("max_retries", 3)),
         )
@@ -241,7 +241,7 @@ def _run_config(cfg: dict) -> RunConfig:
         evidence=EvidenceConfig(**cfg["evidence"]),
         memory_params=MemoryParams(**cfg["memory"]),
         perception_params=PerceptionParams(**cfg["perception"]),
-        strict=bool(cfg["strict"]),
+        strict=cfg["strict"],
         workers=cfg["workers"],
         templates=_load_templates(cfg),
     )
@@ -296,16 +296,16 @@ def cmd_build_memory(args, cfg: dict) -> int:
         )
         return EXIT_OK
     manager = _build_backends(cfg).manager
-    params = MemoryParams(**cfg["memory"])
+    config = _run_config(cfg)
     out_path = Path(args.out) if args.out else Path(args.input).with_suffix(".memory.json")
     store = MemoryStore(out_path.parent)
-    memory = store.build(out_path, transcript, manager, params, _load_templates(cfg)).memory
+    session = store.build(out_path, transcript, manager, config.memory_params, config.templates)
     t_tokens = transcript.token_count
-    m_tokens = memory_token_count(memory)
+    m_tokens = session.memory_tokens()
     stats = compute_token_stats(t_tokens, m_tokens)
     reduction = "n/a" if stats.reduction_pct is None else f"{stats.reduction_pct:.1f}%"
     print(
-        f"wrote {out_path}: {len(memory.episodes)} episodes, "
+        f"wrote {out_path}: {len(session.memory.episodes)} episodes, "
         f"transcript_tokens={t_tokens} memory_tokens={m_tokens} reduction={reduction}"
     )
     return EXIT_OK
@@ -432,15 +432,15 @@ def cmd_stats(args, cfg: dict) -> int:
     if args.manifest:
         items = load_manifest(args.manifest)
         store = MemoryStore(args.memory_dir or cfg["memory_dir"])
-        manager = _build_backends(cfg).manager
-        params = MemoryParams(**cfg["memory"])
-        templates = _load_templates(cfg)
+        backends, config = _build_backends(cfg), _run_config(cfg)
         videos = {}
         for item in sorted(items, key=lambda it: it.question_id):
             if item.video_id in videos:
                 continue
-            session = _item_session(item, store)
-            store.get_or_build(item.video_id, session.transcript, manager, params, templates)
+            try:
+                session = open_item(item, config, backends, store)
+            except StageError as exc:
+                raise exc.cause from None  # stats reports what failed, not the stage
             videos[item.video_id] = (
                 item.duration_s, session.transcript.token_count, session.memory_tokens()
             )

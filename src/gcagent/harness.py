@@ -16,12 +16,12 @@ from pathlib import Path
 from typing import Iterable
 
 from .backend import Backend, ChatRequest, TextPart
-from .errors import GcagentError, ManifestError, StageError, UnparseableAnswer
+from .errors import DigestMismatch, GcagentError, ManifestError, StageError, UnparseableAnswer
 from .memory import MemoryParams, MemoryStore, VideoSession, check_minimums, reflect
 from .perception import PerceptionParams, PerceptionResult, Query, perceive
 from .reasoning import ActionResult, EvidenceConfig, act, assemble_evidence
 from .text import needle
-from .transcript import count_tokens
+from .transcript import count_tokens, transcript_digest
 
 SPLITS = ("short", "medium", "long")
 
@@ -217,10 +217,6 @@ def _required_source(item: BenchmarkItem) -> str:
     return source
 
 
-def _item_session(item: BenchmarkItem, store: MemoryStore) -> VideoSession:
-    return store.session(item.video_id, _required_source(item), item.duration_s)
-
-
 # --- pipeline -------------------------------------------------------------------
 
 @dataclass
@@ -305,9 +301,13 @@ def answer(
     `config.perception_params.context_budget`; reflection renders only its
     target episode. `memory_tokens` counts the whole memory. With `dry_run`
     the request is assembled but neither acted on nor reflected (`result`
-    is None). Stage failures carry the stage name; a memory file that
-    cannot be written fails the `memory` stage."""
+    is None). Stage failures carry the stage name; a memory built from
+    another transcript fails the `perception` stage, and a memory file that
+    cannot be written the `memory` stage."""
     transcript, memory = session.transcript, session.memory
+    if memory.source_digest != transcript_digest(transcript):
+        mismatch = DigestMismatch("memory was built from a different transcript")
+        raise StageError("perception", mismatch) from mismatch
     context = session.context(
         needle(query.text, query.options), config.perception_params.context_budget
     )
@@ -316,11 +316,10 @@ def answer(
         perceive,
         query,
         transcript,
-        memory,
+        context,
         backends.manager,
         config.perception_params,
         config.templates,
-        context=context,
     )
     request = _staged(
         "assemble",
@@ -328,11 +327,10 @@ def answer(
         config.evidence,
         query,
         transcript,
-        memory,
+        context,
         perception,
         config.perception_params.max_frames,
         config.templates,
-        context=context,
     )
     outcome = Outcome(perception, request, None, session.memory_tokens())
     if dry_run:
@@ -356,13 +354,18 @@ def answer(
     return outcome
 
 
-def _run_item(
+def open_item(
     item: BenchmarkItem,
     config: RunConfig,
     backends: BackendPair,
     store: MemoryStore,
-) -> tuple[VideoSession, Outcome]:
-    session = _staged("load", _item_session, item, store)
+) -> VideoSession:
+    """The calling thread's session for `item`'s video: its transcript
+    loaded (the `load` stage) and its memory read from `store`, or built
+    with the manager when missing or stale (the `memory` stage)."""
+    session = _staged(
+        "load", lambda: store.session(item.video_id, _required_source(item), item.duration_s)
+    )
     _staged(
         "memory",
         store.get_or_build,
@@ -372,6 +375,16 @@ def _run_item(
         config.memory_params,
         config.templates,
     )
+    return session
+
+
+def _run_item(
+    item: BenchmarkItem,
+    config: RunConfig,
+    backends: BackendPair,
+    store: MemoryStore,
+) -> tuple[VideoSession, Outcome]:
+    session = open_item(item, config, backends, store)
     return session, answer(session, item.query, config, backends)
 
 

@@ -29,20 +29,14 @@ from .backend import (
 )
 from .errors import (
     BudgetTooSmallWarning,
-    DigestMismatch,
     EmptyTranscript,
     InvariantViolation,
     NonPositiveDuration,
     NoRelevantContentWarning,
 )
-from .memory import Context, EpisodicMemory, check_minimums, memory_text
-from .prompts import (
-    SYSTEM_MEMORY_MANAGER,
-    format_options,
-    lookup_template,
-    wrap_block,
-)
-from .transcript import SpeechLine, Transcript, transcript_digest
+from .memory import Context, check_minimums
+from .prompts import SYSTEM_MEMORY_MANAGER, format_options, lookup_template
+from .transcript import SpeechLine, Transcript
 
 DEFAULT_MAX_FRAMES = 32
 _start = attrgetter("start_s")
@@ -237,33 +231,24 @@ def _merge_hit_lines(
 def perceive(
     query: Query,
     transcript: Transcript,
-    memory: EpisodicMemory,
+    context: Context,
     backend: Backend,
     params: PerceptionParams = PerceptionParams(),
     templates: Mapping[str, PromptTemplate] | None = None,
-    context: Context | None = None,
 ) -> PerceptionResult:
-    """Retrieve query-relevant spans plus the clip plan for them. The prompt
-    carries `context`'s transcript and memory blocks, the context the
-    session retrieved for this query; without one, the whole transcript and
-    the whole memory."""
-    if memory.source_digest != transcript_digest(transcript):
-        raise DigestMismatch("memory was built from a different transcript")
+    """Retrieve query-relevant spans of `transcript` plus the clip plan for
+    them. The prompt carries `context`'s transcript and memory blocks, the
+    context the session retrieved for this query."""
     if not transcript.lines:
         raise EmptyTranscript("cannot perceive over an empty transcript")
     duration = transcript.duration_s
-    if context is None:
-        transcript_block = transcript.block
-        memory_block = wrap_block("memory", memory_text(memory))
-    else:
-        transcript_block, memory_block = context.transcript_block, context.memory_block
     body = render_template(
         lookup_template(templates, "perception"),
         {
             "query": " ".join(query.text.split()),
             "options": format_options(query.options),
-            "memory": memory_block,
-            "transcript": transcript_block,
+            "memory": context.memory_block,
+            "transcript": context.transcript_block,
         },
     )
     request = ChatRequest(

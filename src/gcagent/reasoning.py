@@ -30,7 +30,7 @@ from .errors import (
     MissingPerception,
     UnparseableAnswer,
 )
-from .memory import Context, EpisodicMemory, memory_text
+from .memory import Context
 from .perception import DEFAULT_MAX_FRAMES, PerceptionResult, uniform_clip
 from .prompts import (
     SYSTEM_REASONER,
@@ -39,7 +39,6 @@ from .prompts import (
     lookup_template,
     open_marker,
     transcript_block,
-    wrap_block,
 )
 from .transcript import Transcript
 
@@ -113,27 +112,22 @@ def assemble_evidence(
     config: EvidenceConfig,
     query,
     transcript: Transcript,
-    memory: EpisodicMemory,
+    context: Context,
     perception: PerceptionResult | None = None,
     max_frames: int = DEFAULT_MAX_FRAMES,
     templates: Mapping[str, PromptTemplate] | None = None,
-    context: Context | None = None,
 ) -> ChatRequest:
     """Build the reasoning request. Block order is fixed: memory, then
     transcript, then frames, then the question. The memory block holds the
     episodes of `context`, the context the session retrieved for this
-    query; without one, the whole memory. The full-transcript block is
-    always the whole transcript."""
+    query. The full-transcript block is always the whole transcript."""
     if config.needs_perception() and perception is None:
         raise MissingPerception(f"config {config.to_dict()} requires perception output")
     parts: list = []
-    if config.memory != "none":
-        narrative = config.memory == "schematic_plus_narrative"
-        if context is None:
-            block = wrap_block("memory", memory_text(memory, include_narrative=narrative))
-        else:
-            block = context.memory_block if narrative else context.schematic_block()
-        parts.append(TextPart(block))
+    if config.memory == "schematic_plus_narrative":
+        parts.append(TextPart(context.memory_block))
+    elif config.memory == "schematic":
+        parts.append(TextPart(context.schematic_block()))
     if config.text == "full_transcript":
         parts.append(TextPart(transcript.block))
     elif config.text == "qr_transcript":

@@ -1,17 +1,21 @@
 """Test helpers: a backend that replays canned responses, a scriptable
-local chat-completion server, and SRT/VTT writers for round-trip tests (the
-fixture generator's)."""
+local chat-completion server, SRT/VTT writers for round-trip tests (the
+fixture generator's), and a whole-video `Context` for perception and
+action."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
 
 from gcagent.backend import BackendProfile, ChatRequest, ChatResponse
+from gcagent.memory import Context, EpisodicMemory, VideoSession
+from gcagent.transcript import Transcript
 
 _GEN = importlib.util.spec_from_file_location(
     "gen_fixtures", Path(__file__).resolve().parent.parent / "tools" / "gen_fixtures.py"
@@ -33,6 +37,12 @@ class ScriptedBackend:
         text = self._responses[min(self._cursor, len(self._responses) - 1)]
         self._cursor += 1
         return ChatResponse(text=text)
+
+
+def whole_context(transcript: Transcript, memory: EpisodicMemory) -> Context:
+    """The context of a budget larger than any video: the whole transcript
+    block and the whole memory, each sent byte for byte as it renders."""
+    return VideoSession(transcript=transcript, memory=memory).context(set(), sys.maxsize)
 
 
 def _cues(transcript) -> list[tuple[float, float, str]]:

@@ -44,7 +44,7 @@ from gcagent.transcript import (
 )
 
 from conftest import FIXTURES, make_transcript, random_query, random_transcript
-from helpers import FakeChatServer, srt_of, vtt_of
+from helpers import FakeChatServer, srt_of, vtt_of, whole_context
 
 MANIFEST = FIXTURES / "manifest.jsonl"
 VID01 = str(FIXTURES / "videos" / "vid01.srt")
@@ -107,13 +107,13 @@ def test_acceptance_3_reference_mode_determinism(tmp_path):
     backend = ReferenceBackend()
     for item in load_manifest(MANIFEST)[:5]:
         transcript = load_transcript(_required_source(item), video_duration_s=item.duration_s)
-        memory = build_memory(transcript, backend)
+        context = whole_context(transcript, build_memory(transcript, backend))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            p1 = perceive(item.query, transcript, memory, backend)
-            p2 = perceive(item.query, transcript, memory, backend)
+            p1 = perceive(item.query, transcript, context, backend)
+            p2 = perceive(item.query, transcript, context, backend)
         assert p1 == p2
-        request = assemble_evidence(EvidenceConfig(), item.query, transcript, memory, p1)
+        request = assemble_evidence(EvidenceConfig(), item.query, transcript, context, p1)
         assert act(item.query, request, backend) == act(item.query, request, backend)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -142,13 +142,14 @@ def test_acceptance_4_stage_contracts_randomized():
         memory = build_memory(transcript, backend)
         query = random_query(rng, transcript)
         duration = transcript.video_duration_s or transcript.end_s
+        context = whole_context(transcript, memory)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            perception = perceive(query, transcript, memory, backend)
+            perception = perceive(query, transcript, context, backend)
         assert len(perception.clip.frame_timestamps_s) <= 32
         for ts in perception.clip.frame_timestamps_s:
             assert 0.0 <= ts <= duration + 1e-9
-        request = assemble_evidence(EvidenceConfig(), query, transcript, memory, perception)
+        request = assemble_evidence(EvidenceConfig(), query, transcript, context, perception)
         try:
             result = act(query, request, backend)
         except UnparseableAnswer:
@@ -212,7 +213,8 @@ def test_acceptance_5_composition_faithfulness(tmp_path, capsys):
         text="why do they throw food in a big bowl",
         options=(("A", "Wash the dishes"), ("B", "Prepare to mix and taste")),
     )
-    perception = perceive(query, transcript, memory, backend)
+    context = whole_context(transcript, memory)
+    perception = perceive(query, transcript, context, backend)
     combos = 0
     for vision in VISION_CHOICES:
         for text in TEXT_CHOICES:
@@ -220,7 +222,7 @@ def test_acceptance_5_composition_faithfulness(tmp_path, capsys):
                 if (vision, text, mem) == ("none", "none", "none"):
                     continue
                 config = EvidenceConfig(vision=vision, text=text, memory=mem)
-                request = assemble_evidence(config, query, transcript, memory, perception)
+                request = assemble_evidence(config, query, transcript, context, perception)
                 from gcagent.cli import render_request
 
                 dump = render_request(request)
@@ -232,10 +234,10 @@ def test_acceptance_5_composition_faithfulness(tmp_path, capsys):
 
     # schematic vs narrative differ only in role/link serialization
     schematic = assemble_evidence(
-        EvidenceConfig("none", "none", "schematic"), query, transcript, memory
+        EvidenceConfig("none", "none", "schematic"), query, transcript, context
     ).user_parts[0].text
     narrative = assemble_evidence(
-        EvidenceConfig("none", "none", "schematic_plus_narrative"), query, transcript, memory
+        EvidenceConfig("none", "none", "schematic_plus_narrative"), query, transcript, context
     ).user_parts[0].text
     for narr_line, schem_line in zip(narrative.split("\n"), schematic.split("\n")):
         if not narr_line.startswith("「"):

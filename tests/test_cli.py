@@ -470,6 +470,18 @@ class TestStats:
             f"gcagent: input error: {memory_path}: memory digest does not match the transcript\n"
         )
 
+    def test_manifest_with_a_malformed_transcript_is_an_input_error(self, tmp_path, capsys):
+        (tmp_path / "bad.srt").write_bytes(b"1\nxx --> yy\nhello\n")
+        item = {**_manifest_items()[0], "subtitle_path": "bad.srt"}
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(item) + "\n")
+        code = run_cli(
+            "--reference", "stats", "--manifest", str(manifest),
+            "--memory-dir", str(tmp_path / "mem"),
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "gcagent: input error: cue 1: bad timestamp syntax\n"
+
 
 class TestUnreadableTranscript:
     @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -754,6 +766,59 @@ class TestUsage:
         config.write_text(json.dumps({"workers": 0}))
         assert run_cli("--config", str(config), "eval", MANIFEST) == EXIT_USAGE
         assert "config error: workers must be an integer >= 1" in capsys.readouterr().err
+
+    def test_unknown_evidence_field_in_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"evidence": {"frames": "none"}}))
+        assert run_cli("--config", str(config), "--reference", "eval", MANIFEST) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("gcagent: config error:") and "frames" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("vision=bogus", "vision must be one of"),
+            ("text=bogus", "text must be one of"),
+            ("vision=none,text=none,memory=none", "at least one evidence source"),
+        ],
+    )
+    def test_bad_evidence_override_is_usage_error(self, capsys, override, message):
+        code = run_cli("--config", override, "--reference", "--dry-run", "eval", MANIFEST)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"gcagent: config error: {message}")
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"strict": "false"}, "strict"),
+            ({"strict": 0}, "strict"),
+            ({"reference": "no"}, "reference"),
+            ({"reference": 1}, "reference"),
+            ({"manager": {"multimodal": "false"}}, "manager.multimodal"),
+            ({"reasoner": {"multimodal": None}}, "reasoner.multimodal"),
+        ],
+    )
+    def test_switch_in_file_that_is_not_a_boolean_is_usage_error(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert run_cli("--config", str(config), "--dry-run", "eval", MANIFEST) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"gcagent: config error: {key} must be true or")
+
+    @pytest.mark.parametrize("override", ["strict=no", "strict=1", "reference=yes"])
+    def test_inline_switch_that_is_not_a_boolean_is_usage_error(self, capsys, override):
+        assert run_cli("--config", override, "--dry-run", "eval", MANIFEST) == EXIT_USAGE
+        key = override.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"gcagent: config error: {key} must be true or")
+
+    def test_boolean_switches_are_accepted(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"reference": None, "manager": {"multimodal": True}}))
+        code = run_cli(
+            "--config", str(config), "--config", "strict=TRUE,reference=false",
+            "--dry-run", "eval", MANIFEST,
+        )
+        assert code == EXIT_OK
 
     def test_ask_without_question_is_usage_error(self):
         code = run_cli("--reference", "ask", "--subtitles", VID01, "--build-on-demand")

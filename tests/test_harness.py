@@ -9,18 +9,18 @@ import pytest
 from gcagent.harness import (
     BackendPair,
     RunConfig,
-    _item_session,
     answer,
     bucket_token_stats,
     compute_token_stats,
     duration_bucket,
     evaluate,
     load_manifest,
+    open_item,
     render_report_table,
     run_pipeline,
 )
-from gcagent.errors import BackendFailure, ManifestError, StageError
-from gcagent.memory import MemoryStore, load_memory
+from gcagent.errors import BackendFailure, DigestMismatch, ManifestError, StageError
+from gcagent.memory import MemoryStore, VideoSession, build_memory, load_memory
 from gcagent.reasoning import ABLATION_ROWS, EvidenceConfig
 from gcagent.reference import ReferenceBackend
 from gcagent.transcript import count_tokens
@@ -240,6 +240,18 @@ class TestRunPipeline:
             run_pipeline(broken, RunConfig(), backends, MemoryStore(tmp_path))
         assert exc.value.stage == "load"
 
+    def test_memory_of_another_transcript_fails_the_perception_stage(
+        self, backends, cooking_transcript, cooking_query
+    ):
+        other = make_transcript([(0.0, 1.0, "unrelated transcript")])
+        memory = build_memory(cooking_transcript, backends.manager)
+        session = VideoSession(transcript=other, memory=memory)
+        with pytest.raises(StageError) as exc:
+            answer(session, cooking_query, RunConfig(), backends)
+        assert exc.value.stage == "perception"
+        assert isinstance(exc.value.cause, DigestMismatch)
+        assert session.memory is memory  # nothing reflected
+
 
 class TestEvaluate:
     def test_accuracy_arithmetic(self, tmp_path, backends):
@@ -361,7 +373,7 @@ class TestEvaluate:
 
 
 def test_memory_tokens_grow_at_most_linearly_in_episode_count(backends):
-    from gcagent.memory import build_memory, memory_token_count
+    from gcagent.memory import memory_token_count
 
     # per-episode serialization adds a bounded constant on top of the
     # budget-capped summary
@@ -387,8 +399,7 @@ def test_prompt_tokens_sum_per_part_equals_the_payload_count(tmp_path, backends,
     store = MemoryStore(tmp_path / "mem")
     config = RunConfig(evidence=ABLATION_ROWS[name])
     for item in _vid01_items():
-        session = _item_session(item, store)
-        store.get_or_build(item.video_id, session.transcript, backends.manager)
+        session = open_item(item, config, backends, store)
         outcome = answer(session, item.query, config, backends)
         assert outcome.prompt_tokens() == count_tokens(outcome.request.text_payload()).count
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gcagent.errors import (
     BudgetTooSmallWarning,
-    DigestMismatch,
     InvariantViolation,
     NonPositiveDuration,
     NoRelevantContentWarning,
@@ -22,6 +21,7 @@ from gcagent.perception import (
 )
 
 from conftest import make_transcript
+from helpers import whole_context
 
 
 @pytest.mark.parametrize(
@@ -130,7 +130,7 @@ class TestPerceive:
             text="why throw food in bowl",
             options=(("A", "to mix"), ("B", "to discard")),
         )
-        result = perceive(query, t, memory, reference)
+        result = perceive(query, t, whole_context(t, memory), reference)
         assert len(result.spans) == 1
         span = result.spans[0]
         assert (span.start_s, span.end_s) == (3.0, 9.0)
@@ -143,7 +143,7 @@ class TestPerceive:
         memory = build_memory(t, reference)
         query = Query(text="zorp blib", options=(("A", "qqq"), ("B", "zzz")))
         with pytest.warns(NoRelevantContentWarning):
-            result = perceive(query, t, memory, reference)
+            result = perceive(query, t, whole_context(t, memory), reference)
         assert result.used_fallback is True
         assert result.spans == ()
         assert result.selected_lines == ()
@@ -161,7 +161,7 @@ class TestPerceive:
         )
         memory = build_memory(t, reference)
         query = Query(text="what does the painter do", options=(("A", "paints"), ("B", "sings")))
-        result = perceive(query, t, memory, reference)
+        result = perceive(query, t, whole_context(t, memory), reference)
         assert len(result.spans) == 1
         assert result.spans[0].line_indices == (1, 2)
 
@@ -175,7 +175,7 @@ class TestPerceive:
         )
         memory = build_memory(t, reference)
         query = Query(text="painter", options=(("A", "brush"), ("B", "canvas")))
-        result = perceive(query, t, memory, reference)
+        result = perceive(query, t, whole_context(t, memory), reference)
         assert len(result.spans) == 2
 
     def test_lines_between_hits_included_in_selection(self, reference):
@@ -189,7 +189,7 @@ class TestPerceive:
         )
         memory = build_memory(t, reference)
         query = Query(text="painter working", options=(("A", "brush"), ("B", "color")))
-        result = perceive(query, t, memory, reference)
+        result = perceive(query, t, whole_context(t, memory), reference)
         assert result.spans[0].line_indices == (1, 2, 3)
         # every span still contains at least one line with real overlap
         assert {1, 3} <= set(result.spans[0].line_indices)
@@ -199,28 +199,24 @@ class TestPerceive:
         t = make_transcript(rows, duration=200.0)
         memory = build_memory(t, reference)
         query = Query(text="painter works", options=(("A", "yes"), ("B", "no")))
-        result = perceive(query, t, memory, reference, PerceptionParams(top_k=3))
+        context = whole_context(t, memory)
+        result = perceive(query, t, context, reference, PerceptionParams(top_k=3))
         assert sum(len(s.line_indices) for s in result.spans) == 3
         # earlier lines win ties
         assert result.spans[0].line_indices[0] == 1
-
-    def test_digest_mismatch_rejected(self, reference, cooking_memory):
-        other = make_transcript([(0.0, 1.0, "unrelated transcript")])
-        query = Query(text="anything", options=(("A", "x"), ("B", "y")))
-        with pytest.raises(DigestMismatch):
-            perceive(query, other, cooking_memory, reference)
 
     def test_clip_respects_video_bounds(self, reference):
         t = make_transcript([(0.0, 2.0, "food in the bowl")], duration=10.0)
         memory = build_memory(t, reference)
         query = Query(text="food bowl", options=(("A", "a"), ("B", "b")))
-        result = perceive(query, t, memory, reference)
+        result = perceive(query, t, whole_context(t, memory), reference)
         for ts in result.clip.frame_timestamps_s:
             assert 0.0 <= ts <= 10.0
 
     def test_deterministic(self, reference, cooking_transcript, cooking_memory, cooking_query):
-        a = perceive(cooking_query, cooking_transcript, cooking_memory, reference)
-        b = perceive(cooking_query, cooking_transcript, cooking_memory, reference)
+        context = whole_context(cooking_transcript, cooking_memory)
+        a = perceive(cooking_query, cooking_transcript, context, reference)
+        b = perceive(cooking_query, cooking_transcript, context, reference)
         assert a == b
 
 
@@ -301,7 +297,7 @@ def test_perceive_spans_match_scan(rows, hits, pad_s, merge_window_s, extra_dura
     query = Query(text="q", options=(("A", "a"), ("B", "b")))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = perceive(query, t, memory, backend, params)
+        result = perceive(query, t, whole_context(t, memory), backend, params)
     in_range = [i for i in hits if 1 <= i <= len(lines)]
     expected = _scan_spans(t.lines, in_range, params, t.duration_s) if in_range else []
     assert [(s.start_s, s.end_s, s.line_indices) for s in result.spans] == expected

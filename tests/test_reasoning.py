@@ -22,7 +22,7 @@ from gcagent.reasoning import (
 from gcagent.reference import pick_best_option
 
 from conftest import make_transcript
-from helpers import ScriptedBackend
+from helpers import ScriptedBackend, whole_context
 
 OPTIONS = (("A", "Walk away"), ("B", "Prepare to mix and taste"), ("C", "Call a friend"))
 
@@ -52,18 +52,18 @@ def _fixture(reference):
         ],
         duration=20.0,
     )
-    memory = build_memory(t, reference)
+    context = whole_context(t, build_memory(t, reference))
     query = Query(text="why do they throw food in a big bowl", options=OPTIONS)
-    perception = perceive(query, t, memory, reference)
-    return t, memory, query, perception
+    perception = perceive(query, t, context, reference)
+    return t, context, query, perception
 
 
 class TestAssembleEvidence:
     def test_full_transcript_only(self, reference):
-        t, memory, query, _ = _fixture(reference)
+        t, context, query, _ = _fixture(reference)
         request = assemble_evidence(
             EvidenceConfig(vision="none", text="full_transcript", memory="none"),
-            query, t, memory,
+            query, t, context,
         )
         texts = [p.text for p in request.user_parts if isinstance(p, TextPart)]
         assert any(s.startswith("<transcript>") for s in texts)
@@ -72,10 +72,10 @@ class TestAssembleEvidence:
         assert "<question>" in texts[-1]
 
     def test_full_composition_has_all_blocks_in_order(self, reference):
-        t, memory, query, perception = _fixture(reference)
+        t, context, query, perception = _fixture(reference)
         request = assemble_evidence(
             EvidenceConfig("qr_segment", "qr_transcript", "schematic_plus_narrative"),
-            query, t, memory, perception,
+            query, t, context, perception,
         )
         kinds = []
         for part in request.user_parts:
@@ -96,12 +96,12 @@ class TestAssembleEvidence:
         assert kinds[-1] == "question"
 
     def test_schematic_memory_omits_narrative_fields(self, reference):
-        t, memory, query, perception = _fixture(reference)
+        t, context, query, perception = _fixture(reference)
         schematic = assemble_evidence(
-            EvidenceConfig("none", "none", "schematic"), query, t, memory
+            EvidenceConfig("none", "none", "schematic"), query, t, context
         )
         narrative = assemble_evidence(
-            EvidenceConfig("none", "none", "schematic_plus_narrative"), query, t, memory
+            EvidenceConfig("none", "none", "schematic_plus_narrative"), query, t, context
         )
         schematic_block = schematic.user_parts[0].text
         narrative_block = narrative.user_parts[0].text
@@ -110,25 +110,25 @@ class TestAssembleEvidence:
         assert "introduction" in narrative_block
 
     def test_qr_without_perception_rejected(self, reference):
-        t, memory, query, _ = _fixture(reference)
+        t, context, query, _ = _fixture(reference)
         with pytest.raises(MissingPerception):
             assemble_evidence(
-                EvidenceConfig("none", "qr_transcript", "none"), query, t, memory, None
+                EvidenceConfig("none", "qr_transcript", "none"), query, t, context, None
             )
 
     def test_frames_strictly_increasing(self, reference):
-        t, memory, query, perception = _fixture(reference)
+        t, context, query, perception = _fixture(reference)
         request = assemble_evidence(
-            EvidenceConfig("qr_segment", "none", "none"), query, t, memory, perception
+            EvidenceConfig("qr_segment", "none", "none"), query, t, context, perception
         )
         stamps = [p.timestamp_s for p in request.user_parts if isinstance(p, ImagePart)]
         assert stamps == sorted(stamps)
         assert len(stamps) <= 32
 
     def test_uniform_vision_uses_video_duration(self, reference):
-        t, memory, query, _ = _fixture(reference)
+        t, context, query, _ = _fixture(reference)
         request = assemble_evidence(
-            EvidenceConfig("uniform", "none", "none"), query, t, memory, max_frames=4
+            EvidenceConfig("uniform", "none", "none"), query, t, context, max_frames=4
         )
         stamps = [p.timestamp_s for p in request.user_parts if isinstance(p, ImagePart)]
         assert stamps == [2.5, 7.5, 12.5, 17.5]
@@ -178,28 +178,28 @@ class TestParseAnswer:
 
 class TestAct:
     def test_reference_argmax_over_overlap(self, reference):
-        t, memory, query, perception = _fixture(reference)
+        t, context, query, perception = _fixture(reference)
         request = assemble_evidence(
             EvidenceConfig("none", "qr_transcript", "schematic_plus_narrative"),
-            query, t, memory, perception,
+            query, t, context, perception,
         )
         result = act(query, request, reference)
         assert result.answer_id == "B"
         assert result.evidence == "they throw food into a big bowl to mix"
 
     def test_unparseable_raises(self, reference):
-        t, memory, query, perception = _fixture(reference)
+        t, context, query, perception = _fixture(reference)
         request = assemble_evidence(
-            EvidenceConfig("none", "full_transcript", "none"), query, t, memory
+            EvidenceConfig("none", "full_transcript", "none"), query, t, context
         )
         backend = ScriptedBackend(["I cannot decide between these."])
         with pytest.raises(UnparseableAnswer):
             act(query, request, backend)
 
     def test_closed_world_answers(self, reference):
-        t, memory, query, perception = _fixture(reference)
+        t, context, query, perception = _fixture(reference)
         request = assemble_evidence(
-            EvidenceConfig("none", "full_transcript", "none"), query, t, memory
+            EvidenceConfig("none", "full_transcript", "none"), query, t, context
         )
         backend = ScriptedBackend(["Answer: (B)\nEvidence: fine."])
         result = act(query, request, backend)
